@@ -10,6 +10,16 @@
 /// Chaitin-style simplify/select coloring needs (greedy coloring in
 /// degeneracy order), plus the peak number of simultaneously live values.
 ///
+/// Interference walks each block backwards over a sparse set of live
+/// values seeded from the block's live-out list: insert and erase are
+/// O(1), the peak is the set's size, and a definition visits only the
+/// values live across it. Adjacency lists are sorted and de-duplicated
+/// once. Simplify pops a min-heap keyed on (degree, index) with lazy
+/// deletion, so ties go to the lowest index; select marks taken colors
+/// in a stamp array. Total cost O(I + E log V) time and O(V + E) space
+/// for I instructions, V values and E interference edges (SSA
+/// interference graphs are chordal, so E stays near the live ranges).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_REGALLOC_COLORING_H
