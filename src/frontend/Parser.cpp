@@ -17,6 +17,18 @@ class Parser {
   std::vector<Token> Toks;
   size_t Pos = 0;
   std::vector<std::string> &Errors;
+  /// Bound on nested statements plus nested expressions (the same default
+  /// as clang's bracket depth), so hostile input cannot blow the stack.
+  static constexpr unsigned MaxDepth = 256;
+  unsigned Depth = 0;
+  bool TooDeep = false;
+
+  /// One level of a recursive production; pairs with tooDeep().
+  struct Nest {
+    Parser &P;
+    explicit Nest(Parser &P) : P(P) { ++P.Depth; }
+    ~Nest() { --P.Depth; }
+  };
 
 public:
   Parser(std::vector<Token> Toks, std::vector<std::string> &Errors)
@@ -48,6 +60,8 @@ private:
   }
 
   void error(const std::string &Msg) {
+    if (TooDeep)
+      return; // the unwinding after "nesting too deep" adds nothing
     Errors.push_back("line " + std::to_string(cur().Line) + ": " + Msg);
   }
 
@@ -57,6 +71,18 @@ private:
     error(std::string("expected ") + tokKindName(K) + " " + Context +
           ", found " + tokKindName(cur().Kind));
     return false;
+  }
+
+  /// True past MaxDepth: reports "nesting too deep" once and skips to the
+  /// end of input, so the recursion unwinds without cascading errors.
+  bool tooDeep() {
+    if (Depth <= MaxDepth)
+      return false;
+    error("nesting too deep (more than " + std::to_string(MaxDepth) +
+          " levels)");
+    TooDeep = true;
+    Pos = Toks.size() - 1; // the Eof token
+    return true;
   }
 
   /// Skips to the next statement boundary after an error.
@@ -189,6 +215,9 @@ private:
   }
 
   StmtPtr parseStmt() {
+    Nest N(*this);
+    if (tooDeep())
+      return nullptr;
     switch (cur().Kind) {
     case TokKind::LBrace:
       return parseBlock();
@@ -530,6 +559,9 @@ private:
 
   ExprPtr parseUnary() {
     unsigned Line = cur().Line;
+    Nest N(*this);
+    if (tooDeep())
+      return std::make_unique<Expr>(Expr::Kind::IntLit, Line);
     if (accept(TokKind::Minus)) {
       auto E = std::make_unique<Expr>(Expr::Kind::Unary, Line);
       E->UnaryOp = '-';

@@ -87,6 +87,43 @@ TEST(ParserTest, ReportsSyntaxError) {
   EXPECT_FALSE(Errors.empty());
 }
 
+// Nesting deeper than the parser's bound is an ordinary error, reported
+// once, instead of a stack overflow.
+TEST(ParserTest, DeepParenthesesAreAnErrorNotACrash) {
+  const unsigned N = 10000;
+  std::string Src = "int main() { return " + std::string(N, '(') + "1" +
+                    std::string(N, ')') + "; }";
+  std::vector<std::string> Errors;
+  auto M = compileMiniC(Src, Errors);
+  EXPECT_EQ(M, nullptr);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("nesting too deep"), std::string::npos)
+      << Errors[0];
+}
+
+TEST(ParserTest, DeepBlocksAreAnErrorNotACrash) {
+  const unsigned N = 10000;
+  std::string Src =
+      "void main() " + std::string(N, '{') + "print(1);" + std::string(N, '}');
+  std::vector<std::string> Errors;
+  auto M = compileMiniC(Src, Errors);
+  EXPECT_EQ(M, nullptr);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("nesting too deep"), std::string::npos)
+      << Errors[0];
+}
+
+TEST(ParserTest, ModerateNestingStillCompiles) {
+  std::string Src = "int main() { " + std::string(100, '{') + "return " +
+                    std::string(100, '(') + "7" + std::string(100, ')') +
+                    ";" + std::string(100, '}') + " }";
+  std::vector<std::string> Errors;
+  auto M = compileMiniC(Src, Errors);
+  ASSERT_NE(M, nullptr) << (Errors.empty() ? "" : Errors[0]);
+  Interpreter Interp(*M);
+  EXPECT_EQ(Interp.run().ExitValue, 7);
+}
+
 TEST(SemaTest, RejectsUnknownNames) {
   std::vector<std::string> Errors;
   auto M = compileMiniC("void main() { x = 1; }", Errors);
