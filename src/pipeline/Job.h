@@ -11,10 +11,7 @@
 ///
 ///   - the srpc one-shot CLI path (runCompileJob),
 ///   - the parallel workload driver (runPipelineParallel),
-///   - the compile server's batch dispatcher (src/server/Server.h),
-///
-/// replacing the old ad-hoc `(Source, PipelineOptions)` plumbing and the
-/// deprecated free runPipeline wrappers (deleted in this change).
+///   - the compile server's batch dispatcher (src/server/Server.h).
 ///
 /// resultToJson builds the `srpc --stats-json` document from a
 /// PipelineResult; the server's wire format embeds the same bytes, so

@@ -22,8 +22,7 @@
 ///                          .run(Source);
 ///
 /// Job-granular entry points (CompileJob / runCompileJob /
-/// runPipelineParallel) live in pipeline/Job.h; the historical free
-/// runPipeline wrappers are gone.
+/// runPipelineParallel) live in pipeline/Job.h.
 ///
 //===----------------------------------------------------------------------===//
 
