@@ -19,7 +19,7 @@
 
 #include "WorkloadUtil.h"
 #include "pipeline/Pipeline.h"
-#include "support/Statistics.h"
+#include "support/JSON.h"
 #include "support/Timer.h"
 #include <cstdio>
 #include <string>
@@ -94,17 +94,22 @@ int main(int argc, char **argv) {
   MatrixRun Uncached = runMatrix(/*DisableCache=*/true);
 
   if (StatsJson) {
-    std::printf("{\n"
-                "  \"job_count\": %u,\n"
-                "  \"failures\": %u,\n"
-                "  \"cached\": {\"wall_seconds\": %.6f, \"analysis\": %s},\n"
-                "  \"uncached\": {\"wall_seconds\": %.6f, \"analysis\": %s}\n"
-                "}\n",
-                Cached.Jobs, Cached.Failures + Uncached.Failures,
-                Cached.WallSeconds,
-                analysisCacheStatsToJson(Cached.Totals, 1).c_str(),
-                Uncached.WallSeconds,
-                analysisCacheStatsToJson(Uncached.Totals, 1).c_str());
+    json::Writer W;
+    W.beginObject()
+        .member("job_count", Cached.Jobs)
+        .member("failures", Cached.Failures + Uncached.Failures);
+    auto Leg = [&](const char *Name, const MatrixRun &Run) {
+      W.key(Name)
+          .beginObject(json::Layout::Inline)
+          .member("wall_seconds", Run.WallSeconds, json::Fmt::Fixed6)
+          .key("analysis");
+      analysisCacheStatsToJson(W, Run.Totals);
+      W.end();
+    };
+    Leg("cached", Cached);
+    Leg("uncached", Uncached);
+    W.end();
+    std::printf("%s\n", W.str().c_str());
     return (Cached.Failures || Uncached.Failures) ? 1 : 0;
   }
 

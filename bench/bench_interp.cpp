@@ -35,6 +35,7 @@
 #include "frontend/Lowering.h"
 #include "ir/Module.h"
 #include "interp/Interpreter.h"
+#include "support/JSON.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include <cmath>
@@ -209,29 +210,38 @@ int main(int argc, char **argv) {
   double GeoNatAmort = geomean(NatAmortUps);
 
   if (Json) {
-    std::printf("{\n  \"bench\": \"bench_interp\",\n  \"reps\": %u,\n"
-                "  \"workloads\": [",
-                Reps);
+    using json::Fmt;
+    json::Writer W;
+    W.beginObject()
+        .member("bench", "bench_interp")
+        .member("reps", Reps)
+        .key("workloads")
+        .beginArray();
     for (size_t I = 0; I != Rows.size(); ++I) {
       const Row &R = Rows[I];
-      std::printf("%s\n    {\"name\": \"%s\", \"instructions\": %llu, "
-                  "\"walk_seconds\": %.6f, \"bytecode_cold_seconds\": %.6f, "
-                  "\"bytecode_amortized_seconds\": %.6f, "
-                  "\"native_cold_seconds\": %.6f, "
-                  "\"native_amortized_seconds\": %.6f, "
-                  "\"speedup_cold\": %.2f, \"speedup_amortized\": %.2f, "
-                  "\"native_speedup_cold\": %.2f, "
-                  "\"native_over_bytecode_amortized\": %.2f}",
-                  I ? "," : "", R.Name.c_str(),
-                  static_cast<unsigned long long>(R.Instructions), R.WalkSec,
-                  R.ColdSec, R.AmortSec, R.NativeColdSec, R.NativeAmortSec,
-                  ColdUps[I], AmortUps[I], NatColdUps[I], NatAmortUps[I]);
+      W.beginObject(json::Layout::Inline)
+          .member("name", R.Name)
+          .member("instructions", R.Instructions)
+          .member("walk_seconds", R.WalkSec, Fmt::Fixed6)
+          .member("bytecode_cold_seconds", R.ColdSec, Fmt::Fixed6)
+          .member("bytecode_amortized_seconds", R.AmortSec, Fmt::Fixed6)
+          .member("native_cold_seconds", R.NativeColdSec, Fmt::Fixed6)
+          .member("native_amortized_seconds", R.NativeAmortSec, Fmt::Fixed6)
+          .member("speedup_cold", ColdUps[I], Fmt::Fixed2)
+          .member("speedup_amortized", AmortUps[I], Fmt::Fixed2)
+          .member("native_speedup_cold", NatColdUps[I], Fmt::Fixed2)
+          .member("native_over_bytecode_amortized", NatAmortUps[I],
+                  Fmt::Fixed2)
+          .end();
     }
-    std::printf("\n  ],\n  \"geomean_speedup_cold\": %.2f,\n"
-                "  \"geomean_speedup_amortized\": %.2f,\n"
-                "  \"geomean_native_speedup_cold\": %.2f,\n"
-                "  \"geomean_native_over_bytecode_amortized\": %.2f\n}\n",
-                GeoCold, GeoAmort, GeoNatCold, GeoNatAmort);
+    W.end()
+        .member("geomean_speedup_cold", GeoCold, Fmt::Fixed2)
+        .member("geomean_speedup_amortized", GeoAmort, Fmt::Fixed2)
+        .member("geomean_native_speedup_cold", GeoNatCold, Fmt::Fixed2)
+        .member("geomean_native_over_bytecode_amortized", GeoNatAmort,
+                Fmt::Fixed2)
+        .end();
+    std::printf("%s\n", W.str().c_str());
     return 0;
   }
 

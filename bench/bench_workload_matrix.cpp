@@ -205,25 +205,24 @@ void printLoadText(const LoadReport &R, unsigned Clients) {
 }
 
 void printLoadJson(const LoadReport &R, unsigned Clients) {
-  json::Value Doc = json::Value::object();
-  Doc.set("requests", json::Value::integer(R.Requests));
-  Doc.set("clients", json::Value::integer(Clients));
-  Doc.set("failures", json::Value::integer(R.Failures));
-  Doc.set("wall_seconds", json::Value::number(R.WallSeconds));
-  Doc.set("jobs_per_sec", json::Value::number(R.jobsPerSec()));
-  json::Value Lat = json::Value::object();
-  Lat.set("p50_ms",
-          json::Value::number(percentile(R.Latencies, 0.50) * 1e3));
-  Lat.set("p95_ms",
-          json::Value::number(percentile(R.Latencies, 0.95) * 1e3));
-  Lat.set("p99_ms",
-          json::Value::number(percentile(R.Latencies, 0.99) * 1e3));
-  Doc.set("latency", std::move(Lat));
-  json::Value Srv;
-  std::string E;
-  json::parse(server::serverStatsToJson(R.Server), Srv, E);
-  Doc.set("server", std::move(Srv));
-  std::printf("%s\n", Doc.dump().c_str());
+  using json::Fmt;
+  json::Writer W(json::Layout::Compact);
+  W.beginObject()
+      .member("requests", R.Requests)
+      .member("clients", Clients)
+      .member("failures", R.Failures)
+      .member("wall_seconds", R.WallSeconds, Fmt::Exact)
+      .member("jobs_per_sec", R.jobsPerSec(), Fmt::Exact)
+      .key("latency")
+      .beginObject()
+      .member("p50_ms", percentile(R.Latencies, 0.50) * 1e3, Fmt::Exact)
+      .member("p95_ms", percentile(R.Latencies, 0.95) * 1e3, Fmt::Exact)
+      .member("p99_ms", percentile(R.Latencies, 0.99) * 1e3, Fmt::Exact)
+      .end()
+      .key("server");
+  server::serverStatsToJson(W, R.Server);
+  W.end();
+  std::printf("%s\n", W.str().c_str());
 }
 
 /// One strictness leg of the --validator-overhead comparison.
@@ -279,37 +278,38 @@ void printOverheadText(const OverheadLeg &Full, const OverheadLeg &Sem,
 
 void printOverheadJson(const OverheadLeg &Full, const OverheadLeg &Sem,
                        size_t JobCount, unsigned Threads) {
+  using json::Fmt;
   const TransValidateStats &V = Sem.Validation;
-  json::Value Doc = json::Value::object();
-  Doc.set("job_count", json::Value::integer(int64_t(JobCount)));
-  Doc.set("threads", json::Value::integer(Threads));
-  json::Value F = json::Value::object();
-  F.set("wall_seconds", json::Value::number(Full.WallSeconds));
-  F.set("failures", json::Value::integer(Full.Failures));
-  Doc.set("full", std::move(F));
-  json::Value S = json::Value::object();
-  S.set("wall_seconds", json::Value::number(Sem.WallSeconds));
-  S.set("failures", json::Value::integer(Sem.Failures));
-  json::Value Val = json::Value::object();
-  Val.set("passes_validated", json::Value::integer(int64_t(V.PassesValidated)));
-  Val.set("functions_validated",
-          json::Value::integer(int64_t(V.FunctionsValidated)));
-  Val.set("functions_skipped_identical",
-          json::Value::integer(int64_t(V.FunctionsSkippedIdentical)));
-  Val.set("effect_pairs_matched",
-          json::Value::integer(int64_t(V.EffectPairsMatched)));
-  Val.set("obligations_proven",
-          json::Value::integer(int64_t(V.ObligationsProven)));
-  Val.set("obligations_failed",
-          json::Value::integer(int64_t(V.ObligationsFailed)));
-  Val.set("webs_checked", json::Value::integer(int64_t(V.WebsChecked)));
-  Val.set("webs_proven", json::Value::integer(int64_t(V.WebsProven)));
-  Val.set("wall_seconds", json::Value::number(V.WallSeconds));
-  S.set("validation", std::move(Val));
-  Doc.set("semantic", std::move(S));
-  Doc.set("delta_wall_seconds",
-          json::Value::number(Sem.WallSeconds - Full.WallSeconds));
-  std::printf("%s\n", Doc.dump().c_str());
+  json::Writer W(json::Layout::Compact);
+  W.beginObject()
+      .member("job_count", JobCount)
+      .member("threads", Threads)
+      .key("full")
+      .beginObject()
+      .member("wall_seconds", Full.WallSeconds, Fmt::Exact)
+      .member("failures", Full.Failures)
+      .end()
+      .key("semantic")
+      .beginObject()
+      .member("wall_seconds", Sem.WallSeconds, Fmt::Exact)
+      .member("failures", Sem.Failures)
+      .key("validation")
+      .beginObject()
+      .member("passes_validated", V.PassesValidated)
+      .member("functions_validated", V.FunctionsValidated)
+      .member("functions_skipped_identical", V.FunctionsSkippedIdentical)
+      .member("effect_pairs_matched", V.EffectPairsMatched)
+      .member("obligations_proven", V.ObligationsProven)
+      .member("obligations_failed", V.ObligationsFailed)
+      .member("webs_checked", V.WebsChecked)
+      .member("webs_proven", V.WebsProven)
+      .member("wall_seconds", V.WallSeconds, Fmt::Exact)
+      .end()
+      .end()
+      .member("delta_wall_seconds", Sem.WallSeconds - Full.WallSeconds,
+              Fmt::Exact)
+      .end();
+  std::printf("%s\n", W.str().c_str());
 }
 
 } // namespace
@@ -458,32 +458,28 @@ int main(int argc, char **argv) {
     std::vector<PipelineResult> Results;
     double Wall = runMatrix(Jobs, Threads ? Threads : HW, Results);
     unsigned Failures = 0;
-    std::string JobsJson = "[";
+    json::Writer W;
+    W.beginObject().key("jobs").beginArray();
     for (size_t I = 0; I != Results.size(); ++I) {
       const PipelineResult &R = Results[I];
       if (!R.Ok)
         ++Failures;
-      char WallBuf[32];
-      std::snprintf(WallBuf, sizeof(WallBuf), "%.6f", R.WallSeconds);
-      JobsJson += std::string(I ? ",\n    " : "\n    ") + "{\"name\": \"" +
-                  jsonEscape(Jobs[I].Name) +
-                  "\", \"ok\": " + (R.Ok ? "true" : "false") +
-                  ", \"dynamic_memops_after\": " +
-                  std::to_string(R.RunAfter.Counts.memOps()) +
-                  ", \"wall_seconds\": " + WallBuf + "}";
+      W.beginObject(json::Layout::Inline)
+          .member("name", Jobs[I].Name)
+          .member("ok", R.Ok)
+          .member("dynamic_memops_after", R.RunAfter.Counts.memOps())
+          .member("wall_seconds", R.WallSeconds, json::Fmt::Fixed6)
+          .end();
     }
-    JobsJson += "\n  ]";
-    std::printf("{\n"
-                "  \"jobs\": %s,\n"
-                "  \"job_count\": %zu,\n"
-                "  \"failures\": %u,\n"
-                "  \"threads\": %u,\n"
-                "  \"wall_seconds\": %.6f,\n"
-                "  \"statistics\": %s\n"
-                "}\n",
-                JobsJson.c_str(), Jobs.size(), Failures,
-                Threads ? Threads : HW, Wall,
-                stats::toJson(stats::snapshot(), 1).c_str());
+    W.end()
+        .member("job_count", Jobs.size())
+        .member("failures", Failures)
+        .member("threads", Threads ? Threads : HW)
+        .member("wall_seconds", Wall, json::Fmt::Fixed6)
+        .key("statistics");
+    stats::toJson(W, stats::snapshot());
+    W.end();
+    std::printf("%s\n", W.str().c_str());
     if (!writeTrace())
       return 2;
     return Failures ? 1 : 0;

@@ -10,7 +10,6 @@
 #include "support/Statistics.h"
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 using namespace srp;
 
@@ -296,23 +295,21 @@ void AnalysisManager::ssaEdited(Function &F) {
                     .abandon(AnalysisKind::NativeCode));
 }
 
-std::string srp::analysisCacheStatsToJson(const AnalysisCacheStats &S,
-                                          unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  std::string In(Indent * 2 + 2, ' ');
-  std::ostringstream OS;
-  OS << "{\n"
-     << In << "\"cache_hits\": " << S.Hits << ",\n"
-     << In << "\"cache_misses\": " << S.Misses << ",\n"
-     << In << "\"invalidations\": " << S.Invalidations << ",\n"
-     << In << "\"cfg_edit_events\": " << S.CFGEditEvents << ",\n"
-     << In << "\"ssa_edit_events\": " << S.SSAEditEvents << ",\n"
-     << In << "\"built\": {";
-  for (unsigned I = 0; I != NumAnalysisKinds; ++I) {
-    OS << (I ? ", " : "") << "\""
-       << analysisKindName(static_cast<AnalysisKind>(I))
-       << "\": " << S.Builds[I];
-  }
-  OS << "}\n" << Pad << "}";
-  return OS.str();
+void srp::analysisCacheStatsToJson(json::Writer &W,
+                                   const AnalysisCacheStats &S) {
+  W.beginObject()
+      .member("cache_hits", S.Hits)
+      .member("cache_misses", S.Misses)
+      .member("invalidations", S.Invalidations)
+      .member("cfg_edit_events", S.CFGEditEvents)
+      .member("ssa_edit_events", S.SSAEditEvents)
+      .key("built")
+      .beginObject(json::Layout::Inline);
+  for (unsigned I = 0; I != NumAnalysisKinds; ++I)
+    W.member(analysisKindName(static_cast<AnalysisKind>(I)), S.Builds[I]);
+  W.end().end();
+}
+
+std::string srp::analysisCacheStatsToJson(const AnalysisCacheStats &S) {
+  return json::render(analysisCacheStatsToJson, S);
 }

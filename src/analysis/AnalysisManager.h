@@ -46,6 +46,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/Intervals.h"
 #include "ir/CFGEdit.h"
+#include "support/JSON.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include <array>
@@ -154,10 +155,11 @@ struct AnalysisCacheStats {
   }
 };
 
-/// Renders \p S as a JSON object ({"cache_hits": ..., "built": {...}}),
-/// two-space indented at \p Indent levels; byte-stable.
-std::string analysisCacheStatsToJson(const AnalysisCacheStats &S,
-                                     unsigned Indent = 0);
+/// Renders \p S as a block JSON object ({"cache_hits": ..., "built":
+/// {...}} with "built" inline); byte-stable. The string form renders a
+/// whole document.
+void analysisCacheStatsToJson(json::Writer &W, const AnalysisCacheStats &S);
+std::string analysisCacheStatsToJson(const AnalysisCacheStats &S);
 
 /// A checked reference to a cached analysis: remembers the slot generation
 /// at acquisition time, so consumers holding results across a mutation can

@@ -8,7 +8,6 @@
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Printer.h"
-#include "support/Statistics.h"
 #include <sstream>
 
 using namespace srp;
@@ -110,26 +109,23 @@ std::string srp::diagnosticsToText(const std::vector<Diagnostic> &Diags) {
   return Out;
 }
 
-std::string srp::diagnosticsToJson(const std::vector<Diagnostic> &Diags,
-                                   unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  std::string Inner(Indent * 2 + 2, ' ');
-  std::ostringstream OS;
-  OS << "[";
-  bool First = true;
-  for (const Diagnostic &D : Diags) {
-    OS << (First ? "\n" : ",\n") << Inner << "{\"check\": \""
-       << jsonEscape(D.CheckID) << "\", \"severity\": \""
-       << diagSeverityName(D.Severity) << "\", \"function\": \""
-       << jsonEscape(D.Loc.Function) << "\", \"block\": \""
-       << jsonEscape(D.Loc.Block) << "\", \"instruction_index\": "
-       << D.Loc.InstIndex << ", \"snippet\": \"" << jsonEscape(D.Loc.Snippet)
-       << "\", \"message\": \"" << jsonEscape(D.Message)
-       << "\", \"fixit\": \"" << jsonEscape(D.FixIt) << "\"}";
-    First = false;
-  }
-  if (!First)
-    OS << "\n" << Pad;
-  OS << "]";
-  return OS.str();
+void srp::diagnosticsToJson(json::Writer &W,
+                            const std::vector<Diagnostic> &Diags) {
+  W.beginArray();
+  for (const Diagnostic &D : Diags)
+    W.beginObject(json::Layout::Inline)
+        .member("check", D.CheckID)
+        .member("severity", diagSeverityName(D.Severity))
+        .member("function", D.Loc.Function)
+        .member("block", D.Loc.Block)
+        .member("instruction_index", D.Loc.InstIndex)
+        .member("snippet", D.Loc.Snippet)
+        .member("message", D.Message)
+        .member("fixit", D.FixIt)
+        .end();
+  W.end();
+}
+
+std::string srp::diagnosticsToJson(const std::vector<Diagnostic> &Diags) {
+  return json::render(diagnosticsToJson, Diags);
 }

@@ -14,15 +14,12 @@
 /// (`error[ssa-use-dominance] f:bb3:#2: ...`) and a byte-stable JSON
 /// array for `srpc --analyze --diag-json`.
 ///
-/// This replaces the old `std::vector<std::string>` verifier API: the
-/// legacy `srp::verify()` entry points are now thin shims that render
-/// diagnostics back into strings (see analysis/Verifier.h).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_ANALYSIS_DIAGNOSTICS_H
 #define SRP_ANALYSIS_DIAGNOSTICS_H
 
+#include "support/JSON.h"
 #include <array>
 #include <cstdint>
 #include <string>
@@ -114,13 +111,14 @@ std::string toText(const Diagnostic &D);
 /// empty string for no diagnostics).
 std::string diagnosticsToText(const std::vector<Diagnostic> &Diags);
 
-/// Byte-stable JSON array of diagnostic objects, two-space indented at
-/// \p Indent levels. Schema (docs/STATIC_ANALYSIS.md):
+/// Byte-stable block JSON array of inline diagnostic objects. Schema
+/// (docs/STATIC_ANALYSIS.md):
 ///   [{"check": ..., "severity": ..., "function": ..., "block": ...,
 ///     "instruction_index": ..., "snippet": ..., "message": ...,
 ///     "fixit": ...}, ...]
-std::string diagnosticsToJson(const std::vector<Diagnostic> &Diags,
-                              unsigned Indent = 0);
+/// The string form renders a whole document.
+void diagnosticsToJson(json::Writer &W, const std::vector<Diagnostic> &Diags);
+std::string diagnosticsToJson(const std::vector<Diagnostic> &Diags);
 
 } // namespace srp
 

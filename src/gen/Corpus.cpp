@@ -521,3 +521,30 @@ std::string srp::gen::signatureToString(const ProgramSignature &Sig) {
   Emit("missed", Sig.Rejections);
   return OS.str();
 }
+
+void srp::gen::corpusReportToJson(json::Writer &W, const CorpusReport &R,
+                                  uint64_t FirstSeed) {
+  auto counts = [&](const char *Key,
+                    const std::map<std::string, uint64_t> &Counts) {
+    W.key(Key).beginObject();
+    for (const auto &[K, V] : Counts)
+      W.member(K, V);
+    W.end();
+  };
+  W.beginObject()
+      .member("programs", R.NumPrograms)
+      .member("passed", R.NumPassed)
+      .member("first_seed", FirstSeed);
+  counts("profiles", R.ProfilePrograms);
+  counts("promoters", R.Coverage.Promoters);
+  counts("rejections", R.Coverage.Rejections);
+  W.key("failures").beginArray();
+  for (const CorpusFailure &F : R.Failures)
+    W.beginObject(json::Layout::Inline)
+        .member("seed", F.Seed)
+        .member("profile", shapeProfileName(F.Profile))
+        .member("signature", F.Signature)
+        .member("detail", F.Detail)
+        .end();
+  W.end().end();
+}

@@ -32,6 +32,7 @@
 
 #include "analysis/StaticAnalysis.h"
 #include "gen/ProgramGen.h"
+#include "support/JSON.h"
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -140,6 +141,12 @@ struct CorpusReport {
 
   bool ok() const { return Failures.empty(); }
 };
+
+/// Renders \p R as the `srp-corpus -json` report: a block object with
+/// program counts, \p FirstSeed, the profile and coverage counts, and
+/// one inline row per failure.
+void corpusReportToJson(json::Writer &W, const CorpusReport &R,
+                        uint64_t FirstSeed);
 
 /// Per-batch progress callback (Done, Total, report-so-far).
 using CorpusProgressFn =

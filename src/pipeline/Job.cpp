@@ -7,6 +7,7 @@
 #include "pipeline/Job.h"
 #include "analysis/AnalysisManager.h"
 #include "ir/IRParser.h"
+#include "support/JSON.h"
 #include "support/Statistics.h"
 #include "support/Trace.h"
 #include <algorithm>
@@ -142,139 +143,120 @@ uint64_t srp::jobFingerprint(const CompileJob &Job) {
 std::string srp::resultToJson(const PipelineResult &R,
                               const CompileJob &Job) {
   const PipelineOptions &Opts = Job.Opts;
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"file\": \"" << jsonEscape(Job.Name) << "\",\n"
-     << "  \"mode\": \"" << promotionModeName(Opts.Mode) << "\",\n"
-     << "  \"entry\": \"" << jsonEscape(Opts.EntryFunction) << "\",\n"
-     << "  \"ok\": " << (R.Ok ? "true" : "false") << ",\n"
-     << "  \"errors\": [";
-  for (size_t I = 0; I != R.Errors.size(); ++I)
-    OS << (I ? ", " : "") << "\"" << jsonEscape(R.Errors[I]) << "\"";
-  OS << "],\n"
-     << "  \"exit_value\": " << R.RunAfter.ExitValue << ",\n"
-     << "  \"passes\": " << passRecordsToJson(R.Passes, 1) << ",\n"
-     << "  \"statistics\": " << stats::toJson(stats::snapshot(), 1)
-     << ",\n"
-     << "  \"telemetry\": " << stats::metricsToJson(stats::metrics(), 1)
-     << ",\n"
-     << "  \"analysis\": " << analysisCacheStatsToJson(R.Analysis, 1)
-     << ",\n"
-     << "  \"interp\": {\n"
-     << "    \"engine\": \"" << interpEngineName(Opts.Interp) << "\",\n"
-     << "    \"functions_decoded\": "
-     << (R.RunBefore.Interp.FunctionsDecoded +
-         R.RunAfter.Interp.FunctionsDecoded)
-     << ",\n"
-     << "    \"decode_cache_hits\": "
-     << (R.RunBefore.Interp.DecodeCacheHits +
-         R.RunAfter.Interp.DecodeCacheHits)
-     << ",\n"
-     << "    \"walk_fallback_calls\": "
-     << (R.RunBefore.Interp.WalkFallbackCalls +
-         R.RunAfter.Interp.WalkFallbackCalls)
-     << ",\n"
-     << "    \"functions_compiled\": "
-     << (R.RunBefore.Interp.FunctionsCompiled +
-         R.RunAfter.Interp.FunctionsCompiled)
-     << ",\n"
-     << "    \"native_calls\": "
-     << (R.RunBefore.Interp.NativeCalls + R.RunAfter.Interp.NativeCalls)
-     << ",\n"
-     << "    \"deopts\": "
-     << (R.RunBefore.Interp.Deopts + R.RunAfter.Interp.Deopts) << ",\n"
-     << "    \"decode_seconds\": "
-     << (R.RunBefore.Interp.DecodeSeconds + R.RunAfter.Interp.DecodeSeconds)
-     << ",\n"
-     << "    \"compile_seconds\": "
-     << (R.RunBefore.Interp.CompileSeconds + R.RunAfter.Interp.CompileSeconds)
-     << ",\n"
-     << "    \"profile_exec_seconds\": " << R.RunBefore.Interp.ExecSeconds
-     << ",\n"
-     << "    \"measure_exec_seconds\": " << R.RunAfter.Interp.ExecSeconds
-     << "\n"
-     << "  },\n"
-     << "  \"verification\": {\n"
-     << "    \"strictness\": \""
-     << strictnessName(Opts.VerifyEachStep ? Opts.VerifyStrictness
-                                           : Strictness::Off)
-     << "\",\n"
-     << "    \"passes_verified\": " << R.Verify.PassesVerified << ",\n"
-     << "    \"checks_run\": " << R.Verify.ChecksRun << ",\n"
-     << "    \"diagnostics\": " << R.Verify.Diagnostics << ",\n"
-     << "    \"wall_seconds\": " << R.Verify.WallSeconds << "\n"
-     << "  },\n"
-     << "  \"validation\": {\n"
-     << "    \"passes_validated\": " << R.Verify.Validation.PassesValidated
-     << ",\n"
-     << "    \"functions_validated\": "
-     << R.Verify.Validation.FunctionsValidated << ",\n"
-     << "    \"functions_skipped_identical\": "
-     << R.Verify.Validation.FunctionsSkippedIdentical << ",\n"
-     << "    \"effect_pairs_matched\": "
-     << R.Verify.Validation.EffectPairsMatched << ",\n"
-     << "    \"obligations_proven\": "
-     << R.Verify.Validation.ObligationsProven << ",\n"
-     << "    \"obligations_failed\": "
-     << R.Verify.Validation.ObligationsFailed << ",\n"
-     << "    \"webs_checked\": " << R.Verify.Validation.WebsChecked << ",\n"
-     << "    \"webs_proven\": " << R.Verify.Validation.WebsProven << ",\n"
-     << "    \"wall_seconds\": " << R.Verify.Validation.WallSeconds << "\n"
-     << "  },\n"
-     << "  \"counts\": {\n"
-     << "    \"static_loads_before\": " << R.StaticBefore.Loads << ",\n"
-     << "    \"static_loads_after\": " << R.StaticAfter.Loads << ",\n"
-     << "    \"static_stores_before\": " << R.StaticBefore.Stores << ",\n"
-     << "    \"static_stores_after\": " << R.StaticAfter.Stores << ",\n"
-     << "    \"dynamic_loads_before\": "
-     << R.RunBefore.Counts.SingletonLoads << ",\n"
-     << "    \"dynamic_loads_after\": " << R.RunAfter.Counts.SingletonLoads
-     << ",\n"
-     << "    \"dynamic_stores_before\": "
-     << R.RunBefore.Counts.SingletonStores << ",\n"
-     << "    \"dynamic_stores_after\": "
-     << R.RunAfter.Counts.SingletonStores << "\n"
-     << "  },\n"
-     << "  \"exec\": {\n"
-     << "    \"output\": [";
-  for (size_t I = 0; I != R.RunAfter.Output.size(); ++I)
-    OS << (I ? ", " : "") << R.RunAfter.Output[I];
-  {
-    char HashBuf[32];
-    std::snprintf(HashBuf, sizeof(HashBuf), "%016llx",
-                  static_cast<unsigned long long>(finalMemoryHash(R.RunAfter)));
-    OS << "],\n"
-       << "    \"final_memory_hash\": \"" << HashBuf << "\",\n"
-       << "    \"wall_seconds\": " << R.WallSeconds << "\n"
-       << "  },\n";
-  }
-  OS << "  \"pressure\": {\n"
-     << "    \"values\": " << R.Pressure.NumValues << ",\n"
-     << "    \"edges\": " << R.Pressure.Edges << ",\n"
-     << "    \"colors_needed\": " << R.Pressure.ColorsNeeded << ",\n"
-     << "    \"max_live\": " << R.Pressure.MaxLive << "\n"
-     << "  },\n"
-     << "  \"remarks\": ";
+  const InterpRunStats &IB = R.RunBefore.Interp, &IA = R.RunAfter.Interp;
+  const TransValidateStats &V = R.Verify.Validation;
+  json::Writer W;
+  W.beginObject()
+      .member("file", Job.Name)
+      .member("mode", promotionModeName(Opts.Mode))
+      .member("entry", Opts.EntryFunction)
+      .member("ok", R.Ok)
+      .key("errors")
+      .beginArray(json::Layout::Inline);
+  for (const std::string &E : R.Errors)
+    W.value(E);
+  W.end().member("exit_value", R.RunAfter.ExitValue).key("passes");
+  passRecordsToJson(W, R.Passes);
+  W.key("statistics");
+  stats::toJson(W, stats::snapshot());
+  W.key("telemetry");
+  stats::metricsToJson(W, stats::metrics());
+  W.key("analysis");
+  analysisCacheStatsToJson(W, R.Analysis);
+
+  W.key("interp")
+      .beginObject()
+      .member("engine", interpEngineName(Opts.Interp))
+      .member("functions_decoded", IB.FunctionsDecoded + IA.FunctionsDecoded)
+      .member("decode_cache_hits", IB.DecodeCacheHits + IA.DecodeCacheHits)
+      .member("walk_fallback_calls",
+              IB.WalkFallbackCalls + IA.WalkFallbackCalls)
+      .member("functions_compiled",
+              IB.FunctionsCompiled + IA.FunctionsCompiled)
+      .member("native_calls", IB.NativeCalls + IA.NativeCalls)
+      .member("deopts", IB.Deopts + IA.Deopts)
+      .member("decode_seconds", IB.DecodeSeconds + IA.DecodeSeconds)
+      .member("compile_seconds", IB.CompileSeconds + IA.CompileSeconds)
+      .member("profile_exec_seconds", IB.ExecSeconds)
+      .member("measure_exec_seconds", IA.ExecSeconds)
+      .end();
+
+  W.key("verification")
+      .beginObject()
+      .member("strictness",
+              strictnessName(Opts.VerifyEachStep ? Opts.VerifyStrictness
+                                                 : Strictness::Off))
+      .member("passes_verified", R.Verify.PassesVerified)
+      .member("checks_run", R.Verify.ChecksRun)
+      .member("diagnostics", R.Verify.Diagnostics)
+      .member("wall_seconds", R.Verify.WallSeconds)
+      .end();
+
+  W.key("validation")
+      .beginObject()
+      .member("passes_validated", V.PassesValidated)
+      .member("functions_validated", V.FunctionsValidated)
+      .member("functions_skipped_identical", V.FunctionsSkippedIdentical)
+      .member("effect_pairs_matched", V.EffectPairsMatched)
+      .member("obligations_proven", V.ObligationsProven)
+      .member("obligations_failed", V.ObligationsFailed)
+      .member("webs_checked", V.WebsChecked)
+      .member("webs_proven", V.WebsProven)
+      .member("wall_seconds", V.WallSeconds)
+      .end();
+
+  W.key("counts")
+      .beginObject()
+      .member("static_loads_before", R.StaticBefore.Loads)
+      .member("static_loads_after", R.StaticAfter.Loads)
+      .member("static_stores_before", R.StaticBefore.Stores)
+      .member("static_stores_after", R.StaticAfter.Stores)
+      .member("dynamic_loads_before", R.RunBefore.Counts.SingletonLoads)
+      .member("dynamic_loads_after", R.RunAfter.Counts.SingletonLoads)
+      .member("dynamic_stores_before", R.RunBefore.Counts.SingletonStores)
+      .member("dynamic_stores_after", R.RunAfter.Counts.SingletonStores)
+      .end();
+
+  char Hash[32];
+  std::snprintf(Hash, sizeof(Hash), "%016llx",
+                static_cast<unsigned long long>(finalMemoryHash(R.RunAfter)));
+  W.key("exec").beginObject().key("output").beginArray(json::Layout::Inline);
+  for (int64_t Printed : R.RunAfter.Output)
+    W.value(Printed);
+  W.end()
+      .member("final_memory_hash", Hash)
+      .member("wall_seconds", R.WallSeconds)
+      .end();
+
+  W.key("pressure")
+      .beginObject()
+      .member("values", R.Pressure.NumValues)
+      .member("edges", R.Pressure.Edges)
+      .member("colors_needed", R.Pressure.ColorsNeeded)
+      .member("max_live", R.Pressure.MaxLive)
+      .end();
+
+  W.key("remarks");
   if (R.RemarksCaptured)
-    OS << remarksToJson(R.Remarks, 1);
+    remarksToJson(W, R.Remarks);
   else
-    OS << "null";
-  OS << ",\n"
-     << "  \"trace\": ";
+    W.null();
+  W.key("trace");
   if (!R.TraceJson.empty()) {
     // The capture is a complete JSON document ending in '\n'; embed it
     // verbatim minus the terminator (its own inner layout is already
     // byte-stable, which is what matters for report diffs).
-    std::string T = R.TraceJson;
+    std::string_view T = R.TraceJson;
     while (!T.empty() && T.back() == '\n')
-      T.pop_back();
-    OS << T;
+      T.remove_suffix(1);
+    W.raw(T);
   } else {
-    OS << "null";
+    W.null();
   }
-  OS << "\n"
-     << "}\n";
-  return OS.str();
+  W.end();
+  std::string Out = W.take();
+  Out += '\n';
+  return Out;
 }
 
 //===----------------------------------------------------------------------===

@@ -7,12 +7,12 @@
 #include "pipeline/PassManager.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
+#include "support/JSON.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,14 +26,6 @@ SRP_STATISTIC(NumVerifyFailures, "pipeline", "verify-failures",
 SRP_HISTOGRAM(PassMicros, "pipeline", "pass-micros",
               "Wall time of one pass execution (us)");
 } // namespace
-
-void PassManager::addPass(std::string Name, PassFn Fn) {
-  addPass(std::move(Name),
-          ModulePassFn([Fn = std::move(Fn)](Module &M, AnalysisManager &,
-                                            std::vector<std::string> &Errors) {
-            return Fn(M, Errors);
-          }));
-}
 
 void PassManager::addPass(std::string Name, ModulePassFn Fn) {
   Passes.emplace_back(std::move(Name), std::move(Fn));
@@ -60,11 +52,6 @@ std::vector<std::string> PassManager::passNames() const {
   for (const auto &[Name, Fn] : Passes)
     Names.push_back(Name);
   return Names;
-}
-
-bool PassManager::run(Module &M, std::vector<std::string> &Errors) {
-  AnalysisManager AM(&M);
-  return run(M, AM, Errors);
 }
 
 bool PassManager::run(Module &M, AnalysisManager &AM,
@@ -211,25 +198,20 @@ bool PassManager::run(Module &M, AnalysisManager &AM,
   return true;
 }
 
-std::string srp::passRecordsToJson(const std::vector<PassRecord> &Records,
-                                   unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  std::string Inner(Indent * 2 + 2, ' ');
-  std::ostringstream OS;
-  OS << "[";
-  bool First = true;
-  for (const PassRecord &R : Records) {
-    OS << (First ? "\n" : ",\n") << Inner << "{\"name\": \""
-       << jsonEscape(R.Name) << "\", \"wall_seconds\": ";
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.9f", R.WallSeconds);
-    OS << Buf << ", \"ran\": " << (R.Ran ? "true" : "false")
-       << ", \"verified\": " << (R.Verified ? "true" : "false")
-       << ", \"verify_errors\": " << R.VerifyErrors << "}";
-    First = false;
-  }
-  if (!First)
-    OS << "\n" << Pad;
-  OS << "]";
-  return OS.str();
+void srp::passRecordsToJson(json::Writer &W,
+                            const std::vector<PassRecord> &Records) {
+  W.beginArray();
+  for (const PassRecord &R : Records)
+    W.beginObject(json::Layout::Inline)
+        .member("name", R.Name)
+        .member("wall_seconds", R.WallSeconds, json::Fmt::Fixed9)
+        .member("ran", R.Ran)
+        .member("verified", R.Verified)
+        .member("verify_errors", R.VerifyErrors)
+        .end();
+  W.end();
+}
+
+std::string srp::passRecordsToJson(const std::vector<PassRecord> &Records) {
+  return json::render(passRecordsToJson, Records);
 }

@@ -24,9 +24,9 @@
 /// Passes receive the run's AnalysisManager and pull dominators, interval
 /// trees, memory SSA, profiles and liveness from it instead of rebuilding
 /// them. A function pass returns the PreservedAnalyses set it kept valid;
-/// the manager invalidates the rest per function. Module passes and the
-/// legacy (Module&, Errors&) form manage invalidation themselves (the
-/// CFGEdit/SSAUpdater notifier hooks cover the common cases).
+/// the manager invalidates the rest per function. Module passes manage
+/// invalidation themselves (the CFGEdit/SSAUpdater notifier hooks cover
+/// the common cases).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,14 +92,10 @@ struct VerifyRunStats {
 /// and error attribution.
 class PassManager {
 public:
-  /// Legacy pass body (no analysis manager): transforms \p M, appends
-  /// problems to \p Errors and returns false to abort the remaining
-  /// pipeline. Kept so pre-AnalysisManager passes and tests compile.
-  using PassFn = std::function<bool(Module &M, std::vector<std::string> &Errors)>;
-
-  /// A module pass: like PassFn but with access to the run's analysis
-  /// cache. Responsible for its own invalidation (usually implicit via
-  /// the IR-change notifier).
+  /// A module pass: transforms \p M, appends problems to \p Errors and
+  /// returns false to abort the remaining pipeline. Responsible for its
+  /// own invalidation of \p AM's cache (usually implicit via the
+  /// IR-change notifier).
   using ModulePassFn = std::function<bool(
       Module &M, AnalysisManager &AM, std::vector<std::string> &Errors)>;
 
@@ -115,22 +111,17 @@ public:
   /// Appends a pass. Names should be short lower-case stage names; they
   /// become the "name" fields of the timing report and the attribution
   /// prefix of verifier errors.
-  void addPass(std::string Name, PassFn Fn);
   void addPass(std::string Name, ModulePassFn Fn);
 
   /// Appends a pass that runs over every function of the module, with
   /// per-function PreservedAnalyses-driven invalidation.
   void addFunctionPass(std::string Name, FunctionPassFn Fn);
 
-  /// Runs every registered pass in order over \p M. Stops at the first
-  /// pass that fails or breaks the verifier; errors are appended to
-  /// \p Errors prefixed with the offending pass's name. Returns true when
-  /// every pass ran cleanly. This overload serves legacy callers by
-  /// running against a fresh, run-local AnalysisManager.
-  bool run(Module &M, std::vector<std::string> &Errors);
-
-  /// Same, against the caller's AnalysisManager (the pipeline threads the
-  /// builder-owned manager through here).
+  /// Runs every registered pass in order over \p M against the caller's
+  /// AnalysisManager (the pipeline threads the builder-owned manager
+  /// through here). Stops at the first pass that fails or breaks the
+  /// verifier; errors are appended to \p Errors prefixed with the
+  /// offending pass's name. Returns true when every pass ran cleanly.
   bool run(Module &M, AnalysisManager &AM, std::vector<std::string> &Errors);
 
   /// Per-pass records, in registration order. Populated by run(); passes
@@ -148,16 +139,17 @@ public:
 private:
   PassManagerOptions Opts;
   VerifyRunStats VStats;
-  // Every form is stored as a ModulePassFn; the other addPass overloads
-  // wrap into it.
+  // Function passes are stored wrapped as ModulePassFns.
   std::vector<std::pair<std::string, ModulePassFn>> Passes;
   std::vector<PassRecord> Records;
 };
 
-/// Renders pass records as a JSON array (name, wall_seconds, ran,
-/// verified, verify_errors), two-space indented at \p Indent levels.
-std::string passRecordsToJson(const std::vector<PassRecord> &Records,
-                              unsigned Indent = 0);
+/// Renders pass records as a block JSON array of inline rows (name,
+/// wall_seconds, ran, verified, verify_errors). The string form renders
+/// a whole document.
+void passRecordsToJson(json::Writer &W,
+                       const std::vector<PassRecord> &Records);
+std::string passRecordsToJson(const std::vector<PassRecord> &Records);
 
 } // namespace srp
 

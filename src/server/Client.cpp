@@ -91,6 +91,15 @@ bool Client::roundTrip(const std::string &RequestLine,
   return recvLine(ResponseLine, Err);
 }
 
+namespace {
+/// A bare `{"op":...}` request.
+std::string opRequest(const char *Op) {
+  json::Writer W;
+  W.beginObject(json::Layout::Compact).member("op", Op).end();
+  return W.take();
+}
+} // namespace
+
 bool Client::compile(const CompileJob &Job, CompileResponse &Out,
                      std::string &Err) {
   std::string Resp;
@@ -106,7 +115,7 @@ bool Client::compile(const CompileJob &Job, CompileResponse &Out,
 
 bool Client::ping(std::string &Err) {
   std::string Resp;
-  if (!roundTrip("{\"op\":\"ping\"}", Resp, Err))
+  if (!roundTrip(opRequest("ping"), Resp, Err))
     return false;
   json::Value V;
   if (!json::parse(Resp, V, Err))
@@ -120,7 +129,7 @@ bool Client::ping(std::string &Err) {
 
 bool Client::requestStats(std::string &StatsJson, std::string &Err) {
   std::string Resp;
-  if (!roundTrip("{\"op\":\"stats\"}", Resp, Err))
+  if (!roundTrip(opRequest("stats"), Resp, Err))
     return false;
   json::Value V;
   if (!json::parse(Resp, V, Err))
@@ -136,7 +145,7 @@ bool Client::requestStats(std::string &StatsJson, std::string &Err) {
 
 bool Client::requestMetrics(std::string &PrometheusText, std::string &Err) {
   std::string Resp;
-  if (!roundTrip("{\"op\":\"metrics\"}", Resp, Err))
+  if (!roundTrip(opRequest("metrics"), Resp, Err))
     return false;
   json::Value V;
   if (!json::parse(Resp, V, Err))
@@ -152,7 +161,7 @@ bool Client::requestMetrics(std::string &PrometheusText, std::string &Err) {
 
 bool Client::requestShutdown(std::string &Err) {
   std::string Resp;
-  if (!roundTrip("{\"op\":\"shutdown\"}", Resp, Err))
+  if (!roundTrip(opRequest("shutdown"), Resp, Err))
     return false;
   json::Value V;
   if (!json::parse(Resp, V, Err))

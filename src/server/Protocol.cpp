@@ -14,60 +14,54 @@ using namespace srp::server;
 std::string srp::server::encodeCompileRequest(const CompileJob &Job,
                                               uint64_t Id) {
   const PipelineOptions Defaults;
-  json::Value R = json::Value::object();
-  R.set("op", json::Value::string("compile"));
-  R.set("id", json::Value::integer(static_cast<int64_t>(Id)));
+  json::Writer W(json::Layout::Compact);
+  W.beginObject()
+      .member("op", "compile")
+      .member("id", static_cast<int64_t>(Id));
   if (!Job.Name.empty())
-    R.set("name", json::Value::string(Job.Name));
-  R.set("source", json::Value::string(Job.Source.str()));
+    W.member("name", Job.Name);
+  W.member("source", Job.Source.str());
   if (Job.InputIsIR)
-    R.set("ir", json::Value::boolean(true));
+    W.member("ir", true);
 
   const PipelineOptions &O = Job.Opts;
   if (O.Mode != Defaults.Mode)
-    R.set("mode", json::Value::string(promotionModeName(O.Mode)));
+    W.member("mode", promotionModeName(O.Mode));
   if (O.EntryFunction != Defaults.EntryFunction)
-    R.set("entry", json::Value::string(O.EntryFunction));
+    W.member("entry", O.EntryFunction);
   {
     Strictness S = O.VerifyEachStep ? O.VerifyStrictness : Strictness::Off;
     Strictness DS = Defaults.VerifyEachStep ? Defaults.VerifyStrictness
                                             : Strictness::Off;
     if (S != DS)
-      R.set("verify", json::Value::string(strictnessName(S)));
+      W.member("verify", strictnessName(S));
   }
   if (O.Interp != Defaults.Interp)
-    R.set("interp", json::Value::string(interpEngineName(O.Interp)));
+    W.member("interp", interpEngineName(O.Interp));
   if (O.JitThreshold != Defaults.JitThreshold)
-    R.set("jit_threshold",
-          json::Value::integer(static_cast<int64_t>(O.JitThreshold)));
+    W.member("jit_threshold", static_cast<int64_t>(O.JitThreshold));
   if (O.MeasurePressure != Defaults.MeasurePressure)
-    R.set("measure_pressure", json::Value::boolean(O.MeasurePressure));
+    W.member("measure_pressure", O.MeasurePressure);
   if (O.DisableAnalysisCache != Defaults.DisableAnalysisCache)
-    R.set("no_analysis_cache",
-          json::Value::boolean(O.DisableAnalysisCache));
-  if (O.Promo.AllowStoreElimination !=
-      Defaults.Promo.AllowStoreElimination)
-    R.set("store_elim",
-          json::Value::boolean(O.Promo.AllowStoreElimination));
+    W.member("no_analysis_cache", O.DisableAnalysisCache);
+  if (O.Promo.AllowStoreElimination != Defaults.Promo.AllowStoreElimination)
+    W.member("store_elim", O.Promo.AllowStoreElimination);
   if (O.Promo.WebGranularity != Defaults.Promo.WebGranularity)
-    R.set("web_granularity",
-          json::Value::boolean(O.Promo.WebGranularity));
+    W.member("web_granularity", O.Promo.WebGranularity);
   if (O.Promo.CountBoundaryOps != Defaults.Promo.CountBoundaryOps)
-    R.set("boundary_cost",
-          json::Value::boolean(O.Promo.CountBoundaryOps));
+    W.member("boundary_cost", O.Promo.CountBoundaryOps);
   if (O.Promo.DirectAliasedStores != Defaults.Promo.DirectAliasedStores)
-    R.set("direct_stores",
-          json::Value::boolean(O.Promo.DirectAliasedStores));
+    W.member("direct_stores", O.Promo.DirectAliasedStores);
   if (O.Promo.ProfitThreshold != Defaults.Promo.ProfitThreshold)
-    R.set("profit_threshold",
-          json::Value::integer(O.Promo.ProfitThreshold));
+    W.member("profit_threshold", O.Promo.ProfitThreshold);
   if (Job.WantRemarks)
-    R.set("want_remarks", json::Value::boolean(true));
+    W.member("want_remarks", true);
   if (!Job.RemarksFilter.empty())
-    R.set("remarks_filter", json::Value::string(Job.RemarksFilter));
+    W.member("remarks_filter", Job.RemarksFilter);
   if (Job.WantTrace)
-    R.set("want_trace", json::Value::boolean(true));
-  return R.dump();
+    W.member("want_trace", true);
+  W.end();
+  return W.take();
 }
 
 bool srp::server::decodeCompileRequest(const json::Value &Req,
@@ -139,38 +133,40 @@ bool srp::server::decodeCompileRequest(const json::Value &Req,
 std::string srp::server::encodeCompileResponse(uint64_t Id,
                                                const JobCache::Entry &E,
                                                bool CacheHit) {
-  json::Value R = json::Value::object();
-  R.set("id", json::Value::integer(static_cast<int64_t>(Id)));
-  R.set("ok", json::Value::boolean(E.Ok));
-  R.set("cache_hit", json::Value::boolean(CacheHit));
-  R.set("exit_value", json::Value::integer(E.ExitValue));
-  json::Value Out = json::Value::array();
-  for (int64_t V : E.Output)
-    Out.push(json::Value::integer(V));
-  R.set("output", std::move(Out));
-  char HashBuf[32];
-  std::snprintf(HashBuf, sizeof(HashBuf), "%016llx",
+  char Hash[32];
+  std::snprintf(Hash, sizeof(Hash), "%016llx",
                 static_cast<unsigned long long>(E.FinalMemoryHash));
-  R.set("final_memory_hash", json::Value::string(HashBuf));
-  json::Value Errs = json::Value::array();
+  json::Writer W(json::Layout::Compact);
+  W.beginObject()
+      .member("id", static_cast<int64_t>(Id))
+      .member("ok", E.Ok)
+      .member("cache_hit", CacheHit)
+      .member("exit_value", E.ExitValue)
+      .key("output")
+      .beginArray();
+  for (int64_t V : E.Output)
+    W.value(V);
+  W.end().member("final_memory_hash", Hash).key("errors").beginArray();
   for (const std::string &M : E.Errors)
-    Errs.push(json::Value::string(M));
-  R.set("errors", std::move(Errs));
-  R.set("report", json::Value::string(E.ReportJson));
+    W.value(M);
+  W.end().member("report", E.ReportJson);
   if (!E.RemarksJson.empty())
-    R.set("remarks_json", json::Value::string(E.RemarksJson));
+    W.member("remarks_json", E.RemarksJson);
   if (!E.TraceJson.empty())
-    R.set("trace_json", json::Value::string(E.TraceJson));
-  return R.dump();
+    W.member("trace_json", E.TraceJson);
+  W.end();
+  return W.take();
 }
 
 std::string srp::server::encodeErrorResponse(uint64_t Id,
                                              const std::string &Msg) {
-  json::Value R = json::Value::object();
-  R.set("id", json::Value::integer(static_cast<int64_t>(Id)));
-  R.set("ok", json::Value::boolean(false));
-  R.set("error", json::Value::string(Msg));
-  return R.dump();
+  json::Writer W(json::Layout::Compact);
+  W.beginObject()
+      .member("id", static_cast<int64_t>(Id))
+      .member("ok", false)
+      .member("error", Msg)
+      .end();
+  return W.take();
 }
 
 bool srp::server::decodeCompileResponse(const json::Value &Resp,

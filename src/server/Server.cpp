@@ -56,37 +56,37 @@ struct CompileServer::Connection {
   }
 };
 
-std::string srp::server::serverStatsToJson(const ServerStats &S) {
-  json::Value R = json::Value::object();
-  R.set("connections", json::Value::integer(int64_t(S.Connections)));
-  R.set("jobs_submitted", json::Value::integer(int64_t(S.JobsSubmitted)));
-  R.set("jobs_completed", json::Value::integer(int64_t(S.JobsCompleted)));
-  R.set("jobs_failed", json::Value::integer(int64_t(S.JobsFailed)));
-  R.set("batches", json::Value::integer(int64_t(S.Batches)));
-  R.set("protocol_errors", json::Value::integer(int64_t(S.ProtocolErrors)));
-  R.set("backpressure_waits",
-        json::Value::integer(int64_t(S.BackpressureWaits)));
-  json::Value Cache = json::Value::object();
-  Cache.set("hits", json::Value::integer(int64_t(S.Cache.Hits)));
-  Cache.set("misses", json::Value::integer(int64_t(S.Cache.Misses)));
-  Cache.set("insertions", json::Value::integer(int64_t(S.Cache.Insertions)));
-  Cache.set("evictions", json::Value::integer(int64_t(S.Cache.Evictions)));
-  Cache.set("hit_rate", json::Value::number(S.Cache.hitRate()));
-  R.set("job_cache", std::move(Cache));
-  json::Value An = json::Value::object();
-  An.set("hits", json::Value::integer(int64_t(S.AnalysisHits)));
-  An.set("misses", json::Value::integer(int64_t(S.AnalysisMisses)));
-  An.set("hit_rate", json::Value::number(S.analysisHitRate()));
-  R.set("analysis_cache", std::move(An));
-  json::Value By = json::Value::object();
-  By.set("decode_cache_hits",
-         json::Value::integer(int64_t(S.DecodeCacheHits)));
-  By.set("functions_decoded",
-         json::Value::integer(int64_t(S.FunctionsDecoded)));
-  By.set("hit_rate", json::Value::number(S.decodeHitRate()));
-  R.set("bytecode_cache", std::move(By));
-  R.set("uptime_seconds", json::Value::number(S.UptimeSeconds));
-  return R.dump();
+void srp::server::serverStatsToJson(json::Writer &W, const ServerStats &S) {
+  using json::Fmt;
+  W.beginObject()
+      .member("connections", S.Connections)
+      .member("jobs_submitted", S.JobsSubmitted)
+      .member("jobs_completed", S.JobsCompleted)
+      .member("jobs_failed", S.JobsFailed)
+      .member("batches", S.Batches)
+      .member("protocol_errors", S.ProtocolErrors)
+      .member("backpressure_waits", S.BackpressureWaits);
+  W.key("job_cache")
+      .beginObject()
+      .member("hits", S.Cache.Hits)
+      .member("misses", S.Cache.Misses)
+      .member("insertions", S.Cache.Insertions)
+      .member("evictions", S.Cache.Evictions)
+      .member("hit_rate", S.Cache.hitRate(), Fmt::Exact)
+      .end();
+  W.key("analysis_cache")
+      .beginObject()
+      .member("hits", S.AnalysisHits)
+      .member("misses", S.AnalysisMisses)
+      .member("hit_rate", S.analysisHitRate(), Fmt::Exact)
+      .end();
+  W.key("bytecode_cache")
+      .beginObject()
+      .member("decode_cache_hits", S.DecodeCacheHits)
+      .member("functions_decoded", S.FunctionsDecoded)
+      .member("hit_rate", S.decodeHitRate(), Fmt::Exact)
+      .end();
+  W.member("uptime_seconds", S.UptimeSeconds, Fmt::Exact).end();
 }
 
 CompileServer::CompileServer(ServerOptions O)
@@ -254,43 +254,30 @@ void CompileServer::handleLine(const std::shared_ptr<Connection> &Conn,
   }
   std::string Op = Req.get("op").asString("compile");
 
-  if (Op == "ping") {
-    json::Value R = json::Value::object();
-    R.set("ok", json::Value::boolean(true));
-    R.set("server", json::Value::string("srpc"));
-    R.set("protocol", json::Value::integer(ProtocolVersion));
-    R.set("pid", json::Value::integer(static_cast<int64_t>(::getpid())));
-    respond(Conn, R.dump());
-    return;
-  }
-  if (Op == "stats") {
-    json::Value R = json::Value::object();
-    R.set("ok", json::Value::boolean(true));
-    std::string StatsJson = serverStatsToJson(stats());
-    json::Value Body;
-    std::string ParseErr;
-    json::parse(StatsJson, Body, ParseErr);
-    R.set("stats", std::move(Body));
-    respond(Conn, R.dump());
-    return;
-  }
-  if (Op == "metrics") {
-    // The scrape endpoint: the whole process-global registry (counters,
-    // gauges, histograms) in Prometheus text exposition format.
-    json::Value R = json::Value::object();
-    R.set("ok", json::Value::boolean(true));
-    R.set("prometheus", json::Value::string(stats::metricsToPrometheusText()));
-    respond(Conn, R.dump());
-    return;
-  }
-  if (Op == "shutdown") {
-    json::Value R = json::Value::object();
-    R.set("ok", json::Value::boolean(true));
-    R.set("shutting_down", json::Value::boolean(true));
-    respond(Conn, R.dump());
-    if (Opts.Verbose)
-      std::fprintf(stderr, "srpc-server: shutdown requested\n");
-    requestShutdown();
+  if (Op == "ping" || Op == "stats" || Op == "metrics" || Op == "shutdown") {
+    json::Writer W(json::Layout::Compact);
+    W.beginObject().member("ok", true);
+    if (Op == "ping") {
+      W.member("server", "srpc")
+          .member("protocol", ProtocolVersion)
+          .member("pid", static_cast<int64_t>(::getpid()));
+    } else if (Op == "stats") {
+      W.key("stats");
+      serverStatsToJson(W, stats());
+    } else if (Op == "metrics") {
+      // The scrape endpoint: the whole process-global registry (counters,
+      // gauges, histograms) in Prometheus text exposition format.
+      W.member("prometheus", stats::metricsToPrometheusText());
+    } else {
+      W.member("shutting_down", true);
+    }
+    W.end();
+    respond(Conn, W.take());
+    if (Op == "shutdown") {
+      if (Opts.Verbose)
+        std::fprintf(stderr, "srpc-server: shutdown requested\n");
+      requestShutdown();
+    }
     return;
   }
   if (Op != "compile") {

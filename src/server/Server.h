@@ -35,6 +35,7 @@
 #define SRP_SERVER_SERVER_H
 
 #include "pipeline/Job.h"
+#include "support/JSON.h"
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -95,8 +96,9 @@ struct ServerStats {
   }
 };
 
-/// Renders \p S as a JSON object (the "stats" op response body).
-std::string serverStatsToJson(const ServerStats &S);
+/// Renders \p S as a JSON object (the "stats" op response body) in
+/// \p W's default layout; the server writes it compact.
+void serverStatsToJson(json::Writer &W, const ServerStats &S);
 
 class CompileServer {
 public:

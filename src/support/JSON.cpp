@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/JSON.h"
-#include <cctype>
-#include <cmath>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -23,10 +22,59 @@ void Value::set(const std::string &Key, Value V) {
   Obj.emplace_back(Key, std::move(V));
 }
 
-std::string srp::json::escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (unsigned char C : S) {
+//===----------------------------------------------------------------------===
+// Writer
+//===----------------------------------------------------------------------===
+
+void Writer::separate() {
+  if (AfterKey) {
+    AfterKey = false;
+    return;
+  }
+  if (Stack.empty())
+    return;
+  Frame &F = Stack.back();
+  if (F.L == Layout::Block) {
+    Out += F.Empty ? "\n" : ",\n";
+    Out.append(2 * BlockDepth, ' ');
+  } else if (!F.Empty) {
+    Out += F.L == Layout::Inline ? ", " : ",";
+  }
+  F.Empty = false;
+}
+
+Writer &Writer::open(char Bracket, std::optional<Layout> L) {
+  separate();
+  Out += Bracket;
+  Stack.push_back({Bracket == '{' ? '}' : ']', L.value_or(Default), true});
+  if (Stack.back().L == Layout::Block)
+    ++BlockDepth;
+  return *this;
+}
+
+Writer &Writer::end() {
+  Frame F = Stack.back();
+  Stack.pop_back();
+  if (F.L == Layout::Block) {
+    --BlockDepth;
+    if (!F.Empty) {
+      Out += '\n';
+      Out.append(2 * BlockDepth, ' ');
+    }
+  }
+  Out += F.Close;
+  return *this;
+}
+
+void Writer::string(std::string_view S) {
+  Out += '"';
+  size_t Run = 0; // start of the pending unescaped run
+  for (size_t I = 0; I != S.size(); ++I) {
+    const unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S, Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -43,54 +91,78 @@ std::string srp::json::escape(const std::string &S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
-  return Out;
+  Out.append(S, Run, S.size() - Run);
+  Out += '"';
+}
+
+Writer &Writer::key(std::string_view K) {
+  separate();
+  string(K);
+  Out += Stack.back().L == Layout::Compact ? ":" : ": ";
+  AfterKey = true;
+  return *this;
+}
+
+Writer &Writer::value(double V, Fmt F) {
+  static const char *const Formats[] = {"%g",   "%.2f", "%.3f",
+                                        "%.6f", "%.9f", "%.17g"};
+  separate();
+  // Wide enough for %.9f of DBL_MAX (309 integer digits).
+  char Buf[352];
+  Out.append(Buf, std::snprintf(Buf, sizeof(Buf),
+                                Formats[static_cast<int>(F)], V));
+  return *this;
+}
+
+Writer &Writer::value(std::string_view S) {
+  separate();
+  string(S);
+  return *this;
+}
+
+Writer &Writer::raw(std::string_view Json) {
+  separate();
+  Out += Json;
+  return *this;
+}
+
+Writer &Writer::value(const Value &V) {
+  switch (V.kind()) {
+  case Value::Kind::Null:
+    return null();
+  case Value::Kind::Bool:
+    return value(V.asBool());
+  case Value::Kind::Int:
+    return value(V.asInt());
+  case Value::Kind::Double:
+    return value(V.asDouble(), Fmt::Exact);
+  case Value::Kind::String:
+    return value(V.asString());
+  case Value::Kind::Array:
+    beginArray();
+    for (const Value &E : V.items())
+      value(E);
+    return end();
+  case Value::Kind::Object:
+    beginObject();
+    for (const auto &[Name, E] : V.members())
+      member(Name, E);
+    return end();
+  }
+  return null();
 }
 
 std::string Value::dump() const {
-  switch (K) {
-  case Kind::Null:
-    return "null";
-  case Kind::Bool:
-    return B ? "true" : "false";
-  case Kind::Int:
-    return std::to_string(I);
-  case Kind::Double: {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-    return Buf;
-  }
-  case Kind::String:
-    return "\"" + escape(S) + "\"";
-  case Kind::Array: {
-    std::string Out = "[";
-    for (size_t N = 0; N != Arr.size(); ++N) {
-      if (N)
-        Out += ",";
-      Out += Arr[N].dump();
-    }
-    return Out + "]";
-  }
-  case Kind::Object: {
-    std::string Out = "{";
-    for (size_t N = 0; N != Obj.size(); ++N) {
-      if (N)
-        Out += ",";
-      Out += "\"" + escape(Obj[N].first) + "\":" + Obj[N].second.dump();
-    }
-    return Out + "}";
-  }
-  }
-  return "null";
+  Writer W(Layout::Compact);
+  W.value(*this);
+  return W.take();
 }
 
 namespace {
@@ -208,31 +280,53 @@ class Parser {
     return true;
   }
 
+  bool digits() {
+    const char *Start = P;
+    while (P != End && *P >= '0' && *P <= '9')
+      ++P;
+    return P != Start;
+  }
+
+  /// The JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// The whole token must convert; integers that overflow int64 are kept
+  /// as doubles.
   bool parseNumber(Value &Out) {
     const char *Start = P;
     if (P != End && *P == '-')
       ++P;
-    bool IsDouble = false;
-    while (P != End && (std::isdigit(static_cast<unsigned char>(*P)) ||
-                        *P == '.' || *P == 'e' || *P == 'E' || *P == '+' ||
-                        *P == '-')) {
-      if (*P == '.' || *P == 'e' || *P == 'E')
-        IsDouble = true;
+    if (P != End && *P == '0')
       ++P;
-    }
-    std::string Num(Start, P);
-    if (Num.empty() || Num == "-")
+    else if (!digits())
       return fail("invalid number");
+    bool IsDouble = false;
+    if (P != End && *P == '.') {
+      ++P;
+      IsDouble = true;
+      if (!digits())
+        return fail("invalid number");
+    }
+    if (P != End && (*P == 'e' || *P == 'E')) {
+      ++P;
+      IsDouble = true;
+      if (P != End && (*P == '+' || *P == '-'))
+        ++P;
+      if (!digits())
+        return fail("invalid number");
+    }
+    const std::string Num(Start, P);
+    char *NumEnd = nullptr;
     if (!IsDouble) {
       errno = 0;
-      char *NumEnd = nullptr;
       long long V = std::strtoll(Num.c_str(), &NumEnd, 10);
-      if (errno == 0 && NumEnd && *NumEnd == '\0') {
+      if (errno == 0 && NumEnd == Num.c_str() + Num.size()) {
         Out = Value::integer(V);
         return true;
       }
     }
-    Out = Value::number(std::strtod(Num.c_str(), nullptr));
+    double D = std::strtod(Num.c_str(), &NumEnd);
+    if (NumEnd != Num.c_str() + Num.size())
+      return fail("invalid number");
+    Out = Value::number(D);
     return true;
   }
 

@@ -5,8 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Remarks.h"
-#include "support/Statistics.h"
-#include <sstream>
 
 using namespace srp;
 
@@ -88,51 +86,43 @@ void RemarkEngine::clear() {
   Remarks.clear();
 }
 
-std::string srp::remarksToJson(const std::vector<Remark> &Remarks,
-                               unsigned Indent) {
-  const std::string Pad(Indent * 2, ' ');
-  const std::string P1(Indent * 2 + 2, ' ');
-  const std::string P2(Indent * 2 + 4, ' ');
-  const std::string P3(Indent * 2 + 6, ' ');
-  std::ostringstream OS;
-  OS << "{\n" << P1 << "\"remark_count\": " << Remarks.size() << ",\n"
-     << P1 << "\"remarks\": [";
-  bool FirstRemark = true;
+void srp::remarksToJson(json::Writer &W, const std::vector<Remark> &Remarks) {
+  W.beginObject()
+      .member("remark_count", Remarks.size())
+      .key("remarks")
+      .beginArray();
   for (const Remark &R : Remarks) {
-    OS << (FirstRemark ? "\n" : ",\n") << P2 << "{\n"
-       << P3 << "\"kind\": \"" << remarkKindName(R.Kind) << "\",\n"
-       << P3 << "\"pass\": \"" << jsonEscape(R.Pass) << "\",\n"
-       << P3 << "\"name\": \"" << jsonEscape(R.Name) << "\"";
+    W.beginObject()
+        .member("kind", remarkKindName(R.Kind))
+        .member("pass", R.Pass)
+        .member("name", R.Name);
     if (!R.Function.empty())
-      OS << ",\n" << P3 << "\"function\": \"" << jsonEscape(R.Function)
-         << "\"";
+      W.member("function", R.Function);
     if (!R.Interval.empty())
-      OS << ",\n" << P3 << "\"interval\": \"" << jsonEscape(R.Interval)
-         << "\",\n" << P3 << "\"interval_depth\": " << R.IntervalDepth;
+      W.member("interval", R.Interval)
+          .member("interval_depth", R.IntervalDepth);
     if (!R.Web.empty())
-      OS << ",\n" << P3 << "\"web\": \"" << jsonEscape(R.Web) << "\"";
-    OS << ",\n" << P3 << "\"args\": {";
-    bool FirstArg = true;
+      W.member("web", R.Web);
+    W.key("args").beginObject(json::Layout::Inline);
     for (const RemarkArg &A : R.Args) {
-      OS << (FirstArg ? "" : ", ") << "\"" << jsonEscape(A.Key) << "\": ";
+      W.key(A.Key);
       switch (A.Ty) {
       case RemarkArg::Type::Int:
-        OS << A.IntVal;
+        W.value(A.IntVal);
         break;
       case RemarkArg::Type::Bool:
-        OS << (A.IntVal ? "true" : "false");
+        W.value(A.IntVal != 0);
         break;
       case RemarkArg::Type::Str:
-        OS << "\"" << jsonEscape(A.StrVal) << "\"";
+        W.value(A.StrVal);
         break;
       }
-      FirstArg = false;
     }
-    OS << "}\n" << P2 << "}";
-    FirstRemark = false;
+    W.end().end();
   }
-  if (!FirstRemark)
-    OS << "\n" << P1;
-  OS << "]\n" << Pad << "}";
-  return OS.str();
+  W.end().end();
+}
+
+std::string srp::remarksToJson(const std::vector<Remark> &Remarks) {
+  return json::render(remarksToJson, Remarks);
 }

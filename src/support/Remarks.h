@@ -40,6 +40,7 @@
 #ifndef SRP_SUPPORT_REMARKS_H
 #define SRP_SUPPORT_REMARKS_H
 
+#include "support/JSON.h"
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -198,12 +199,13 @@ public:
   ScopedThreadRemarkSink &operator=(const ScopedThreadRemarkSink &) = delete;
 };
 
-/// Renders remarks as a JSON object ({"remark_count": N, "remarks":
-/// [...]}) with two-space indentation at \p Indent levels. Field order and
+/// Renders remarks as a block JSON object ({"remark_count": N,
+/// "remarks": [...]}, each remark's args inline). Field order and
 /// argument order are fixed, so equal inputs render byte-identically
-/// (same discipline as stats::toJson).
-std::string remarksToJson(const std::vector<Remark> &Remarks,
-                          unsigned Indent = 0);
+/// (same discipline as stats::toJson). The string form renders a whole
+/// document.
+void remarksToJson(json::Writer &W, const std::vector<Remark> &Remarks);
+std::string remarksToJson(const std::vector<Remark> &Remarks);
 
 } // namespace srp
 

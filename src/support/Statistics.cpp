@@ -239,39 +239,6 @@ std::string srp::stats::description(const std::string &FullName) {
   return "";
 }
 
-std::string srp::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 namespace {
 
 /// `component.metric` -> `srp_component_metric` (dots and hyphens are the
@@ -328,59 +295,34 @@ std::string srp::stats::metricsToPrometheusText() {
   return OS.str();
 }
 
-std::string srp::stats::metricsToJson(const MetricsSnapshot &M,
-                                      unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  std::string In1(Indent * 2 + 2, ' ');
-  std::string In2(Indent * 2 + 4, ' ');
-  std::string In3(Indent * 2 + 6, ' ');
-  std::ostringstream OS;
-  OS << "{\n";
-  OS << In1 << "\"counters\": " << toJson(M.Counters, Indent + 1) << ",\n";
-
-  OS << In1 << "\"gauges\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : M.Gauges) {
-    OS << (First ? "\n" : ",\n")
-       << In2 << "\"" << jsonEscape(Name) << "\": " << Value;
-    First = false;
-  }
-  if (!First)
-    OS << "\n" << In1;
-  OS << "},\n";
-
-  OS << In1 << "\"histograms\": {";
-  First = true;
+void srp::stats::metricsToJson(json::Writer &W, const MetricsSnapshot &M) {
+  W.beginObject().key("counters");
+  toJson(W, M.Counters);
+  W.key("gauges").beginObject();
+  for (const auto &[Name, Value] : M.Gauges)
+    W.member(Name, Value);
+  W.end().key("histograms").beginObject();
   for (const auto &[Name, H] : M.Histograms) {
-    OS << (First ? "\n" : ",\n") << In2 << "\"" << jsonEscape(Name)
-       << "\": {\n";
-    OS << In3 << "\"count\": " << H.Count << ",\n";
-    OS << In3 << "\"sum\": " << H.Sum << ",\n";
-    OS << In3 << "\"buckets\": [";
-    for (unsigned I = 0; I != HistogramSnapshot::NumBuckets; ++I)
-      OS << (I ? ", " : "") << H.Buckets[I];
-    OS << "]\n" << In2 << "}";
-    First = false;
+    W.key(Name).beginObject().member("count", H.Count).member("sum", H.Sum);
+    W.key("buckets").beginArray(json::Layout::Inline);
+    for (uint64_t B : H.Buckets)
+      W.value(B);
+    W.end().end();
   }
-  if (!First)
-    OS << "\n" << In1;
-  OS << "}\n" << Pad << "}";
-  return OS.str();
+  W.end().end();
 }
 
-std::string srp::stats::toJson(const StatsSnapshot &S, unsigned Indent) {
-  std::string Pad(Indent * 2, ' ');
-  std::string Inner(Indent * 2 + 2, ' ');
-  std::ostringstream OS;
-  OS << "{";
-  bool First = true;
-  for (const auto &[Name, Value] : S) {
-    OS << (First ? "\n" : ",\n")
-       << Inner << "\"" << jsonEscape(Name) << "\": " << Value;
-    First = false;
-  }
-  if (!First)
-    OS << "\n" << Pad;
-  OS << "}";
-  return OS.str();
+std::string srp::stats::metricsToJson(const MetricsSnapshot &M) {
+  return json::render(metricsToJson, M);
+}
+
+void srp::stats::toJson(json::Writer &W, const StatsSnapshot &S) {
+  W.beginObject();
+  for (const auto &[Name, Value] : S)
+    W.member(Name, Value);
+  W.end();
+}
+
+std::string srp::stats::toJson(const StatsSnapshot &S) {
+  return json::render(toJson, S);
 }

@@ -44,6 +44,7 @@
 #ifndef SRP_SUPPORT_STATISTICS_H
 #define SRP_SUPPORT_STATISTICS_H
 
+#include "support/JSON.h"
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -213,9 +214,10 @@ size_t numRegistered();
 /// unknown.
 std::string description(const std::string &FullName);
 
-/// Renders \p S as a JSON object, keys sorted, two-space indented at
-/// \p Indent levels. Byte-stable for equal snapshots.
-std::string toJson(const StatsSnapshot &S, unsigned Indent = 0);
+/// Renders \p S as a block JSON object, keys sorted. Byte-stable for
+/// equal snapshots. The string form renders a whole document.
+void toJson(json::Writer &W, const StatsSnapshot &S);
+std::string toJson(const StatsSnapshot &S);
 
 /// Renders the whole registry in the Prometheus text exposition format:
 /// counters as `counter`, gauges as `gauge`, histograms as cumulative
@@ -227,14 +229,12 @@ std::string toJson(const StatsSnapshot &S, unsigned Indent = 0);
 std::string metricsToPrometheusText();
 
 /// Renders \p M as a JSON object {"counters": {...}, "gauges": {...},
-/// "histograms": {name: {count, sum, buckets: [...]}}}, two-space
-/// indented at \p Indent levels. Byte-stable for equal snapshots.
-std::string metricsToJson(const MetricsSnapshot &M, unsigned Indent = 0);
+/// "histograms": {name: {count, sum, buckets: [...]}}} (block layout,
+/// bucket arrays inline). Byte-stable for equal snapshots.
+void metricsToJson(json::Writer &W, const MetricsSnapshot &M);
+std::string metricsToJson(const MetricsSnapshot &M);
 
 } // namespace stats
-
-/// Escapes \p S for inclusion in a JSON string literal.
-std::string jsonEscape(const std::string &S);
 
 } // namespace srp
 

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gen/Corpus.h"
+#include "support/JSON.h"
 #include "support/Options.h"
 #include <cstdio>
 #include <cstdlib>
@@ -44,59 +45,6 @@ void printCoverage(const CorpusReport &R) {
     std::printf(" %s=%llu", K.c_str(),
                 (unsigned long long)R.Coverage.rejection(K));
   std::printf("\n");
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
-
-void printJson(const CorpusOptions &Opts, const CorpusReport &R) {
-  std::printf("{\n  \"programs\": %u,\n  \"passed\": %u,\n", R.NumPrograms,
-              R.NumPassed);
-  std::printf("  \"first_seed\": %llu,\n",
-              (unsigned long long)Opts.FirstSeed);
-  std::printf("  \"profiles\": {");
-  bool First = true;
-  for (const auto &[K, V] : R.ProfilePrograms) {
-    std::printf("%s\n    \"%s\": %llu", First ? "" : ",", K.c_str(),
-                (unsigned long long)V);
-    First = false;
-  }
-  std::printf("\n  },\n  \"promoters\": {");
-  First = true;
-  for (const auto &[K, V] : R.Coverage.Promoters) {
-    std::printf("%s\n    \"%s\": %llu", First ? "" : ",", K.c_str(),
-                (unsigned long long)V);
-    First = false;
-  }
-  std::printf("\n  },\n  \"rejections\": {");
-  First = true;
-  for (const auto &[K, V] : R.Coverage.Rejections) {
-    std::printf("%s\n    \"%s\": %llu", First ? "" : ",", K.c_str(),
-                (unsigned long long)V);
-    First = false;
-  }
-  std::printf("\n  },\n  \"failures\": [");
-  First = true;
-  for (const CorpusFailure &F : R.Failures) {
-    std::printf("%s\n    {\"seed\": %llu, \"profile\": \"%s\", "
-                "\"signature\": \"%s\", \"detail\": \"%s\"}",
-                First ? "" : ",", (unsigned long long)F.Seed,
-                shapeProfileName(F.Profile), jsonEscape(F.Signature).c_str(),
-                jsonEscape(F.Detail).c_str());
-    First = false;
-  }
-  std::printf("\n  ]\n}\n");
 }
 
 } // namespace
@@ -240,7 +188,9 @@ int main(int argc, char **argv) {
 
   std::vector<std::string> Missing = R.Coverage.missingRequired();
   if (Json) {
-    printJson(Opts, R);
+    json::Writer W;
+    corpusReportToJson(W, R, Opts.FirstSeed);
+    std::printf("%s\n", W.str().c_str());
   } else {
     std::printf("srp-corpus: %u programs, %u passed, %zu failed\n",
                 R.NumPrograms, R.NumPassed, R.Failures.size());

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "gen/Corpus.h"
+#include "support/JSON.h"
 #include <gtest/gtest.h>
 
 using namespace srp;
@@ -99,6 +100,41 @@ TEST(CorpusTest, SmallSweepIsCleanAndDeterministic) {
   EXPECT_EQ(R2.Coverage.Promoters, R.Coverage.Promoters);
   EXPECT_EQ(R2.Coverage.Rejections, R.Coverage.Rejections);
   EXPECT_EQ(R2.ProfilePrograms, R.ProfilePrograms);
+}
+
+// The -json report must stay valid JSON whatever bytes a failure's
+// signature or detail carries (oracle details quote program output and
+// IR text verbatim).
+TEST(CorpusTest, JsonReportRoundTripsControlBytes) {
+  const std::string Nasty = "q\"b\\s\nn\tt\rr\x01 u\x1f h\xc3\xa9";
+  CorpusReport R;
+  R.NumPrograms = 2;
+  R.NumPassed = 1;
+  R.ProfilePrograms["loops"] = 2;
+  R.Coverage.Promoters["promotion:PromotedWeb"] = 3;
+  CorpusFailure F;
+  F.Seed = 17;
+  F.Profile = ShapeProfile::Default;
+  F.Signature = "oracle-mismatch:" + Nasty;
+  F.Detail = Nasty;
+  R.Failures.push_back(F);
+
+  json::Writer W;
+  corpusReportToJson(W, R, 5);
+  json::Value Doc;
+  std::string Err;
+  ASSERT_TRUE(json::parse(W.str(), Doc, Err)) << Err << "\n" << W.str();
+  EXPECT_EQ(Doc.get("programs").asInt(), 2);
+  EXPECT_EQ(Doc.get("first_seed").asInt(), 5);
+  EXPECT_EQ(Doc.get("profiles").get("loops").asInt(), 2);
+  EXPECT_EQ(Doc.get("rejections").size(), 0u);
+  ASSERT_EQ(Doc.get("failures").items().size(), 1u);
+  const json::Value &Got = Doc.get("failures").items()[0];
+  EXPECT_EQ(Got.get("seed").asInt(), 17);
+  EXPECT_EQ(Got.get("signature").asString(), F.Signature);
+  EXPECT_EQ(Got.get("detail").asString(), Nasty);
+  EXPECT_NE(W.str().find("\"rejections\": {}"), std::string::npos)
+      << W.str();
 }
 
 TEST(CorpusTest, ProgressCallbackSeesEveryBatch) {

@@ -189,7 +189,8 @@ TEST(IRTest, VerifierCatchesBrokenPhi) {
   P->addIncoming(M.constant(1), J);
   BJ.ret(P);
 
-  EXPECT_FALSE(verify(*F).empty());
+  DiagnosticEngine DE = test::checkFast(*F);
+  EXPECT_TRUE(DE.hasErrors()) << diagnosticsToText(DE.diagnostics());
 }
 
 TEST(IRTest, VerifierCatchesUseBeforeDef) {
@@ -206,7 +207,8 @@ TEST(IRTest, VerifierCatchesUseBeforeDef) {
   IRBuilder BA(A);
   BA.setInsertPoint(A->terminator());
   BA.print(X);
-  EXPECT_FALSE(verify(*F).empty());
+  DiagnosticEngine DE = test::checkFast(*F);
+  EXPECT_TRUE(DE.hasErrors()) << diagnosticsToText(DE.diagnostics());
 }
 
 } // namespace

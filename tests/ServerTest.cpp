@@ -371,6 +371,33 @@ TEST(ServerTest, ProtocolErrorsAreAnsweredAndCounted) {
   EXPECT_EQ(S.Srv.stats().ProtocolErrors, 3u);
 }
 
+// A malformed number must fail the parse, not be cut to a valid prefix:
+// `7-3` once read as id 7 and ran the job.
+TEST(ServerTest, MalformedNumberIsAProtocolError) {
+  ServerOptions O;
+  O.SocketPath = testSocketPath("badnum");
+  O.Threads = 1;
+  RunningServer S(O);
+  ASSERT_TRUE(S.Started);
+
+  Client Cl;
+  std::string Err;
+  ASSERT_TRUE(Cl.connect(O.SocketPath, Err)) << Err;
+  std::string Resp;
+  ASSERT_TRUE(Cl.roundTrip(
+      R"({"op":"compile","id": 7-3,"source":"int main() { return 0; }"})",
+      Resp, Err))
+      << Err;
+  json::Value Doc;
+  ASSERT_TRUE(json::parse(Resp, Doc, Err)) << Err;
+  EXPECT_FALSE(Doc.get("ok").asBool(true));
+  EXPECT_NE(Doc.get("error").asString().find("bad request"),
+            std::string::npos)
+      << Resp;
+  EXPECT_EQ(S.Srv.stats().ProtocolErrors, 1u);
+  EXPECT_EQ(S.Srv.stats().JobsSubmitted, 0u);
+}
+
 // Observability over the wire: a job submitted with WantRemarks/WantTrace
 // must come back with the exact bytes a local one-shot run produces —
 // the server executes through the same executeJob capture path, and

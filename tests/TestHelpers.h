@@ -7,7 +7,7 @@
 #ifndef SRP_TESTS_TESTHELPERS_H
 #define SRP_TESTS_TESTHELPERS_H
 
-#include "analysis/Verifier.h"
+#include "analysis/StaticAnalysis.h"
 #include "frontend/Lowering.h"
 #include "ir/Module.h"
 #include "ir/Printer.h"
@@ -28,21 +28,23 @@ inline std::unique_ptr<Module> compileOrDie(const std::string &Source) {
   return M;
 }
 
-/// Asserts the module verifies cleanly, dumping IR on failure.
-inline void expectValid(Module &M, const char *When = "") {
-  auto Errors = verify(M);
-  for (const auto &E : Errors)
-    ADD_FAILURE() << When << ": " << E;
-  if (!Errors.empty())
-    ADD_FAILURE() << "IR:\n" << toString(M);
+/// Runs the Fast-strictness checks (the default between-pass
+/// verification) on \p U, a Function or a Module.
+template <typename IRUnit> DiagnosticEngine checkFast(IRUnit &U) {
+  DiagnosticEngine DE;
+  runChecks(U, DE, Strictness::Fast);
+  return DE;
 }
 
-inline void expectValid(Function &F, const char *When = "") {
-  auto Errors = verify(F);
-  for (const auto &E : Errors)
-    ADD_FAILURE() << When << ": " << E;
-  if (!Errors.empty())
-    ADD_FAILURE() << "IR:\n" << toString(F);
+/// Asserts \p U verifies cleanly, dumping IR on failure.
+template <typename IRUnit>
+void expectValid(IRUnit &U, const char *When = "") {
+  DiagnosticEngine DE = checkFast(U);
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.Severity == DiagSeverity::Error)
+      ADD_FAILURE() << When << ": " << toText(D);
+  if (DE.hasErrors())
+    ADD_FAILURE() << "IR:\n" << toString(U);
 }
 
 } // namespace srp::test

@@ -7,17 +7,18 @@
 /// \file
 /// Each test constructs one specific malformation and asserts the
 /// verifier reports it (the positive path is exercised everywhere else).
-/// The first half drives the legacy string API; the CheckId* half targets
-/// the structured framework directly, one deliberately broken module per
-/// registered check ID.
+/// The first half runs the Fast checks (the default between-pass
+/// verification) and matches the rendered error text; the CheckId* half
+/// asserts check IDs at Full strictness, one deliberately broken module
+/// per registered check ID.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalysisManager.h"
 #include "analysis/StaticAnalysis.h"
-#include "analysis/Verifier.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
+#include "TestHelpers.h"
 #include <gtest/gtest.h>
 #include <memory>
 #include <set>
@@ -27,10 +28,14 @@ using namespace srp;
 
 namespace {
 
-bool anyErrorContains(const std::vector<std::string> &Errors,
-                      const char *Needle) {
-  for (const auto &E : Errors)
-    if (E.find(Needle) != std::string::npos)
+/// True when a Fast-strictness error on \p U renders (toText) with
+/// \p Needle in it.
+template <typename IRUnit>
+bool anyErrorContains(IRUnit &U, const char *Needle) {
+  DiagnosticEngine DE = test::checkFast(U);
+  for (const Diagnostic &D : DE.diagnostics())
+    if (D.Severity == DiagSeverity::Error &&
+        toText(D).find(Needle) != std::string::npos)
       return true;
   return false;
 }
@@ -41,8 +46,7 @@ TEST(VerifierTest, MissingTerminator) {
   BasicBlock *BB = F->createBlock("entry");
   IRBuilder B(BB);
   B.add(M.constant(1), M.constant(2));
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "terminator"));
+  EXPECT_TRUE(anyErrorContains(*F, "terminator"));
 }
 
 TEST(VerifierTest, TerminatorInTheMiddle) {
@@ -53,8 +57,7 @@ TEST(VerifierTest, TerminatorInTheMiddle) {
   B.ret();
   BB->append(std::make_unique<PrintInst>(M.constant(1)));
   BB->append(std::make_unique<RetInst>());
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "terminator"));
+  EXPECT_TRUE(anyErrorContains(*F, "terminator"));
 }
 
 TEST(VerifierTest, EntryWithPredecessors) {
@@ -66,8 +69,7 @@ TEST(VerifierTest, EntryWithPredecessors) {
   B.br(Next);
   IRBuilder BN(Next);
   BN.br(Entry); // loops back to the entry
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "entry block has predecessors"));
+  EXPECT_TRUE(anyErrorContains(*F, "entry block has predecessors"));
 }
 
 TEST(VerifierTest, InconsistentPredList) {
@@ -80,8 +82,7 @@ TEST(VerifierTest, InconsistentPredList) {
   IRBuilder BB(B1);
   BB.ret();
   B1->removePred(A); // corrupt the cache
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "pred list"));
+  EXPECT_TRUE(anyErrorContains(*F, "pred list"));
 }
 
 TEST(VerifierTest, PhiAfterNonPhi) {
@@ -98,8 +99,7 @@ TEST(VerifierTest, PhiAfterNonPhi) {
   B1->append(std::move(Phi));
   BB.setInsertPoint(B1);
   BB.ret();
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "phi after non-phi"));
+  EXPECT_TRUE(anyErrorContains(*F, "phi after non-phi"));
 }
 
 TEST(VerifierTest, PhiArityMismatch) {
@@ -120,8 +120,7 @@ TEST(VerifierTest, PhiArityMismatch) {
   J->append(std::move(Phi));
   IRBuilder BJ(J);
   BJ.ret();
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "incoming blocks mismatch"));
+  EXPECT_TRUE(anyErrorContains(*F, "incoming blocks mismatch"));
 }
 
 TEST(VerifierTest, MemPhiWithoutTarget) {
@@ -138,8 +137,7 @@ TEST(VerifierTest, MemPhiWithoutTarget) {
   B1->prepend(std::move(MP));
   IRBuilder BB(B1);
   BB.ret();
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "memphi without target"));
+  EXPECT_TRUE(anyErrorContains(*F, "memphi without target"));
 }
 
 TEST(VerifierTest, MemoryUseNotDominated) {
@@ -162,8 +160,7 @@ TEST(VerifierTest, MemoryUseNotDominated) {
   MemoryName *V = F->createMemoryName(G);
   St->addMemDef(V);
   Ld->addMemOperand(V); // sibling arm: the def does not dominate the use
-  auto Errors = verify(*F);
-  EXPECT_TRUE(anyErrorContains(Errors, "not dominated"));
+  EXPECT_TRUE(anyErrorContains(*F, "not dominated"));
 }
 
 TEST(VerifierTest, ModuleAggregatesFunctionErrors) {
@@ -173,9 +170,8 @@ TEST(VerifierTest, ModuleAggregatesFunctionErrors) {
   B.ret();
   Function *F2 = M.createFunction("bad", Type::Void);
   F2->createBlock("entry"); // empty block, no terminator
-  auto Errors = verify(M);
-  ASSERT_FALSE(Errors.empty());
-  EXPECT_TRUE(anyErrorContains(Errors, "bad"));
+  ASSERT_TRUE(test::checkFast(M).hasErrors());
+  EXPECT_TRUE(anyErrorContains(M, "bad"));
 }
 
 //===----------------------------------------------------------------------===
