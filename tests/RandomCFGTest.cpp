@@ -30,36 +30,6 @@ using namespace srp::test;
 
 namespace {
 
-/// Builds a random function CFG: N blocks, block 0 the entry, every block
-/// ends in ret / br / condbr to random targets. Unreachable blocks are
-/// possible and must be tolerated by the analyses.
-std::unique_ptr<Module> randomCFG(uint64_t Seed, unsigned N) {
-  RNG Rand(Seed);
-  auto M = std::make_unique<Module>("randcfg");
-  Function *F = M->createFunction("f", Type::Void);
-  std::vector<BasicBlock *> Blocks;
-  for (unsigned I = 0; I != N; ++I)
-    Blocks.push_back(F->createBlock("b" + std::to_string(I)));
-  for (unsigned I = 0; I != N; ++I) {
-    IRBuilder B(Blocks[I]);
-    unsigned Kind = static_cast<unsigned>(Rand.below(10));
-    if (Kind < 2 || N == 1) {
-      B.ret();
-    } else if (Kind < 6) {
-      B.br(Blocks[Rand.below(N)]);
-    } else {
-      BasicBlock *T = Blocks[Rand.below(N)];
-      BasicBlock *E = Blocks[Rand.below(N)];
-      if (T == E) {
-        B.br(T);
-      } else {
-        B.condBr(M->constant(static_cast<int64_t>(Rand.below(2))), T, E);
-      }
-    }
-  }
-  return M;
-}
-
 /// Naive dominator sets: iterate Dom(b) = {b} U intersect(Dom(preds))
 /// until fixpoint, over reachable blocks only.
 std::map<const BasicBlock *, BitVector>
