@@ -213,6 +213,13 @@ Strictness appliedStrictness(const CheckOptions &O) {
 
 void appendJobs(std::vector<CompileJob> &Jobs, const SourceText &Source,
                 const CheckOptions &O, const std::string &Label) {
+  auto Add = [&](std::string Name, const PipelineOptions &PO) {
+    CompileJob J;
+    J.Name = std::move(Name);
+    J.Source = Source;
+    J.Opts = PO;
+    Jobs.push_back(std::move(J));
+  };
   PipelineOptions Base;
   Base.VerifyEachStep = O.VerifyEachStep;
   Base.VerifyStrictness = appliedStrictness(O);
@@ -221,15 +228,14 @@ void appendJobs(std::vector<CompileJob> &Jobs, const SourceText &Source,
     PipelineOptions PO = Base;
     PO.Mode = M;
     PO.Interp = InterpEngine::Bytecode;
-    Jobs.push_back({Label + "/" + promotionModeName(M), Source, PO});
+    Add(Label + "/" + promotionModeName(M), PO);
   }
   if (O.EngineParity)
     for (PromotionMode M : {PromotionMode::None, PromotionMode::Paper}) {
       PipelineOptions PO = Base;
       PO.Mode = M;
       PO.Interp = InterpEngine::Walk;
-      Jobs.push_back(
-          {Label + "/" + promotionModeName(M) + "@walk", Source, PO});
+      Add(Label + "/" + promotionModeName(M) + "@walk", PO);
     }
   if (O.NativeParity)
     for (PromotionMode M : {PromotionMode::None, PromotionMode::Paper}) {
@@ -237,8 +243,7 @@ void appendJobs(std::vector<CompileJob> &Jobs, const SourceText &Source,
       PO.Mode = M;
       PO.Interp = InterpEngine::Native;
       PO.JitThreshold = 1; // force the JIT path, no warm-up calls
-      Jobs.push_back(
-          {Label + "/" + promotionModeName(M) + "@native", Source, PO});
+      Add(Label + "/" + promotionModeName(M) + "@native", PO);
     }
 }
 
