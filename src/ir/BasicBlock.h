@@ -30,10 +30,9 @@ class BasicBlock {
   std::list<std::unique_ptr<Instruction>> Insts;
   std::vector<BasicBlock *> Preds;
 
-  /// Lazy intra-block ordering cache: Order[i] is valid while OrderEpoch
-  /// matches the instruction's cached epoch. Rebuilt on demand after
-  /// insertions.
-  mutable std::vector<const Instruction *> OrderSnapshot;
+  /// Lazy intra-block ordering cache: while OrderValid, every
+  /// instruction's OrderIndex is its position in the block. Every list
+  /// mutation clears the flag; the next query renumbers the block once.
   mutable bool OrderValid = false;
 
 public:
@@ -81,8 +80,8 @@ public:
   void erase(Instruction *I);
 
   /// Intra-block ordering: true if \p A appears strictly before \p B. Both
-  /// must belong to this block. Amortised O(1) via a lazily rebuilt
-  /// position snapshot.
+  /// must belong to this block. Amortised O(1): positions are numbered
+  /// lazily, once per mutation of the block.
   bool comesBefore(const Instruction *A, const Instruction *B) const;
   /// Index of \p I within this block (for ordering and diagnostics).
   unsigned indexOf(const Instruction *I) const;
