@@ -49,6 +49,7 @@
 namespace srp {
 
 class AnalysisManager;
+class BasicBlock;
 class DominatorTree;
 class Function;
 class Module;
@@ -76,19 +77,27 @@ enum class CheckLayer : uint8_t { L0_CFG, L1_SSA, L2_MemorySSA,
                                   L3_Canonical, L4_Promotion };
 const char *checkLayerName(CheckLayer L);
 
+class UseListIndex;
+
 /// Everything a checker sees. The driver fills DT after L0 passes (a
 /// broken CFG has no dominator tree); AM is optional and enables the
-/// cached-analysis paths (intervals for L3/L4).
+/// cached-analysis paths (intervals for L3/L4). DE is the check's own
+/// buffer, appended to the caller's engine in registry order.
 struct CheckContext {
   Function &F;
   DiagnosticEngine &DE;
   AnalysisManager *AM = nullptr;
   const DominatorTree *DT = nullptr;
   bool MemorySSAPresent = false;
+  /// Use-list membership for the use-list checks, shared by one run.
+  UseListIndex *UseLists = nullptr;
 };
 
 /// One registered checker. Id is the stable check identifier every
-/// diagnostic it emits carries (catalogue: docs/STATIC_ANALYSIS.md).
+/// diagnostic it emits carries (catalogue: docs/STATIC_ANALYSIS.md). A
+/// check has a per-block body, run for every block in layout order inside
+/// its layer's single walk over the function, or a whole-function body
+/// that does its own walk; the other is null.
 struct CheckInfo {
   const char *Id;
   CheckLayer Layer;
@@ -96,6 +105,7 @@ struct CheckInfo {
   bool NeedsMemorySSA;     ///< Skipped until memory SSA is built.
   bool NeedsCanonicalCFG;  ///< Skipped unless AM marks F canonical.
   const char *Description;
+  void (*RunBlock)(CheckContext &, BasicBlock &);
   void (*Run)(CheckContext &);
 };
 
