@@ -193,6 +193,18 @@ std::unique_ptr<Instruction> Instruction::removeFromParent() {
   return Parent->remove(this);
 }
 
+BasicBlock *Instruction::successor(unsigned) const {
+  assert(false && "instruction has no successors");
+  return nullptr;
+}
+
+std::vector<BasicBlock *> Instruction::successors() const {
+  std::vector<BasicBlock *> Succs(numSuccessors());
+  for (unsigned I = 0, E = numSuccessors(); I != E; ++I)
+    Succs[I] = successor(I);
+  return Succs;
+}
+
 void Instruction::replaceSuccessor(BasicBlock *, BasicBlock *) {
   assert(false && "instruction has no successors");
 }
