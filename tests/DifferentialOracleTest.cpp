@@ -23,6 +23,7 @@
 #include "support/Statistics.h"
 #include "support/Timer.h"
 #include "TestHelpers.h"
+#include <algorithm>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <map>
@@ -204,16 +205,23 @@ TEST_F(ParallelDriverHeavyTest, ScalesOnMulticoreHardware) {
 
   std::vector<CompileJob> Jobs = workloadMatrix();
 
-  double T0 = monotonicSeconds();
-  std::vector<PipelineResult> Seq = runPipelineParallel(Jobs, 1);
-  double SeqTime = monotonicSeconds() - T0;
+  // Best of three on each side: a burst of load from elsewhere on the
+  // machine slows single runs, not the fastest of three.
+  auto BestOfThree = [&](unsigned Threads) {
+    double Best = 0;
+    for (unsigned Rep = 0; Rep != 3; ++Rep) {
+      double T0 = monotonicSeconds();
+      std::vector<PipelineResult> Results = runPipelineParallel(Jobs, Threads);
+      double Elapsed = monotonicSeconds() - T0;
+      for (const PipelineResult &R : Results)
+        EXPECT_TRUE(R.Ok);
+      Best = Rep == 0 ? Elapsed : std::min(Best, Elapsed);
+    }
+    return Best;
+  };
+  double SeqTime = BestOfThree(1);
+  double ParTime = BestOfThree(HW);
 
-  T0 = monotonicSeconds();
-  std::vector<PipelineResult> Par = runPipelineParallel(Jobs, HW);
-  double ParTime = monotonicSeconds() - T0;
-
-  for (const PipelineResult &R : Par)
-    EXPECT_TRUE(R.Ok);
   EXPECT_GE(SeqTime, 2.0 * ParTime)
       << "expected >= 2x speedup on " << HW << " cores: sequential "
       << SeqTime << "s vs parallel " << ParTime << "s";
