@@ -82,6 +82,14 @@ public:
 private:
   const Kind K;
   Type Ty;
+
+protected:
+  /// A word for subclasses, kept in what would otherwise be padding after
+  /// the kind and type. Instruction stores its position within its block
+  /// here (see BasicBlock::indexOf).
+  mutable unsigned SubclassData = 0;
+
+private:
   std::string Name;
   std::vector<Use> Uses;
 
